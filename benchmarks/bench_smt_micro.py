@@ -286,39 +286,25 @@ def _run_cegis(
     *,
     warm: bool,
     float_filter: str | None = None,
-    pooled: bool = False,
 ) -> dict:
-    from contextlib import nullcontext
     from dataclasses import replace
 
     from repro.bench.perflog import summarize_times
     from repro.core import SIA_DEFAULT, Synthesizer
-    from repro.smt import session_pool
 
     config = replace(SIA_DEFAULT, warm_sessions=warm)
     if float_filter is not None:
         config = replace(config, float_filter=float_filter)
     before = GLOBAL_COUNTERS.snapshot()
     times_ms = []
-    with session_pool() if pooled else nullcontext():
-        for predicate, subset in cells:
-            start = now()
-            Synthesizer(config).synthesize(predicate, set(subset))
-            times_ms.append((now() - start) * 1000.0)
+    for predicate, subset in cells:
+        start = now()
+        Synthesizer(config).synthesize(predicate, set(subset))
+        times_ms.append((now() - start) * 1000.0)
     entry = summarize_times(times_ms)
     entry["counters"] = GLOBAL_COUNTERS.delta_since(before)
     entry["solver_constructions_per_query"] = round(
         entry["counters"]["solvers_constructed"] / max(len(cells), 1), 3
-    )
-    counters = entry["counters"]
-    entry["session_pool_hit_rate"] = round(
-        counters.get("sessions_reused", 0)
-        / max(
-            counters.get("sessions_created", 0)
-            + counters.get("sessions_reused", 0),
-            1,
-        ),
-        3,
     )
     return entry
 
@@ -333,10 +319,6 @@ def cegis_warm_vs_cold(num_queries: int, seed: int) -> dict[str, dict]:
     cells = _cegis_cells(num_queries, seed)
     warm = _run_cegis(cells, warm=True)
     cold = _run_cegis(cells, warm=False)
-    # The sharded driver's worker configuration: warm sessions plus a
-    # process-lifetime session pool, so leases over a recurring base
-    # formula (every iteration's TRUE sampler) resume a warm session.
-    pooled = _run_cegis(cells, warm=True, pooled=True)
     ratio = cold["solver_constructions_per_query"] / max(
         warm["solver_constructions_per_query"], 1e-9
     )
@@ -347,15 +329,10 @@ def cegis_warm_vs_cold(num_queries: int, seed: int) -> dict[str, dict]:
             cold["median_ms"] / max(warm["median_ms"], 1e-9), 3
         ),
         "p95_speedup": round(cold["p95_ms"] / max(warm["p95_ms"], 1e-9), 3),
-        "pooled_median_speedup_over_warm": round(
-            warm["median_ms"] / max(pooled["median_ms"], 1e-9), 3
-        ),
-        "pooled_hit_rate": pooled["session_pool_hit_rate"],
     }
     return {
         "cegis/warm": warm,
         "cegis/cold": cold,
-        "cegis/pooled": pooled,
         "cegis/warm_vs_cold": comparison,
     }
 
@@ -504,11 +481,6 @@ def main(argv=None) -> int:
                 f"{entries['cegis/cold']['solver_constructions_per_query']} "
                 f"({comparison['construction_ratio_cold_over_warm']}x fewer), "
                 f"median speedup {comparison['median_speedup']}x"
-            )
-            print(
-                "cegis pooled: session-pool hit rate "
-                f"{comparison['pooled_hit_rate']}, median "
-                f"{comparison['pooled_median_speedup_over_warm']}x vs warm"
             )
         if not args.skip_tail:
             entries.update(

@@ -1,6 +1,6 @@
 """SIA402: nondeterminism flowing into persisted outputs or merge order.
 
-The sharded-synthesis roadmap item rests on an invariant the test
+The parallel efficacy driver rests on an invariant the test
 suite can only sample: bench results, perflog rows and merged worker
 deltas must be byte-identical across runs and worker counts.  This
 pass flags the three ways that invariant quietly breaks:

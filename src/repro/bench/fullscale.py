@@ -15,49 +15,20 @@ partial run is already inspectable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from ..obs.clock import now as _now
-from ..sql.printer import render_pred
-from ..tpch import generate_workload
 from .harness import (
     TECHNIQUES,
     EfficacyRecord,
-    _ground_truth_possible,
-    _run_sia_variant,
-    _run_transitive_closure,
-    column_subsets,
+    record_from_json,
+    record_to_json,
     table2_rows,
     table3_rows,
 )
+from .parallel import TelemetryConfig, parallel_efficacy_records
 from .report import format_table
-
-
-def _record_to_json(record: EfficacyRecord) -> dict:
-    payload = dataclasses.asdict(record)
-    del payload["predicate_sql"]  # folded into the "predicate" key
-    payload["predicate"] = (
-        render_pred(record.predicate)
-        if record.predicate is not None
-        else record.predicate_sql
-    )
-    return payload
-
-
-def _record_from_json(payload: dict) -> EfficacyRecord:
-    payload = dict(payload)
-    payload["subset"] = tuple(payload["subset"])
-    # Checkpoints written before the partial flag existed lack the key.
-    payload.setdefault("partial", False)
-    # The Pred tree is not shipped across JSON transit; its SQL
-    # rendering is kept so re-encoding a decoded record (the parallel
-    # fullscale path) does not blank the checkpoint's predicate field.
-    payload["predicate_sql"] = payload["predicate"]
-    payload["predicate"] = None
-    return EfficacyRecord(**payload)
 
 
 def _cell_key(payload: dict) -> tuple:
@@ -78,19 +49,17 @@ def run(
 ) -> int:
     """Run (resumably) and return the number of new cells computed.
 
-    ``workers > 1`` hands the pending queries to the sharded
-    work-stealing driver (:mod:`repro.bench.parallel`): queries with
-    any missing cell run as whole batches on persistent warm workers
-    and only the cells absent from the checkpoint are appended, so
-    parallel and sequential runs extend the same file
-    interchangeably.  The driver's scheduling statistics land in
-    ``stats`` (when given).  ``deadline_ms`` bounds each SIA cell's
-    synthesis wall-clock on both paths; expired cells are checkpointed
-    as partial results (``partial: true``, truncated timings).
-
-    ``telemetry`` (a :class:`~repro.bench.parallel.TelemetryConfig`)
-    turns on the heartbeat/ledger plane; it routes even single-worker
-    runs through the driver so the telemetry shape is uniform.
+    Cells already in the checkpoint are skipped; the rest run through
+    :func:`repro.bench.parallel.parallel_efficacy_records` on
+    ``workers`` processes and are appended and flushed as soon as they
+    reach this process -- per cell in-process, per finished query from
+    a pool -- so a killed run keeps everything it finished.
+    ``deadline_ms`` bounds each SIA cell's synthesis wall-clock;
+    expired cells are checkpointed as partial results (``partial:
+    true``, truncated timings).  The driver's run statistics land in
+    ``stats`` (when given); ``telemetry`` (a
+    :class:`~repro.bench.parallel.TelemetryConfig`) turns on the
+    heartbeat/ledger plane.
     """
     done: set[tuple] = set()
     if out_path.exists():
@@ -100,104 +69,39 @@ def run(
                     done.add(_cell_key(json.loads(line)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    if workers > 1 or telemetry is not None:
-        return _run_parallel(
-            queries, seed, out_path, tuple(techniques), done,
-            workers=workers, deadline_ms=deadline_ms,
-            sanitize=sanitize, stats=stats, telemetry=telemetry,
-        )
-
     new_cells = 0
     with out_path.open("a") as handle:
-        for wq in generate_workload(queries, seed=seed):
-            for subset in column_subsets():
-                subset_names = tuple(c.name for c in subset)
-                pending = [
-                    t for t in techniques
-                    if (wq.index, subset_names, t) not in done
-                ]
-                if not pending:
-                    continue
-                possible = _ground_truth_possible(wq, subset)
-                for technique in pending:
-                    start = _now()
-                    if technique == "TC":
-                        record = _run_transitive_closure(wq, subset)
-                    else:
-                        record = _run_sia_variant(
-                            wq, subset, technique, deadline_ms=deadline_ms
-                        )
-                    record.possible = possible
-                    handle.write(json.dumps(_record_to_json(record)) + "\n")
-                    handle.flush()
-                    new_cells += 1
-                    print(
-                        f"q{wq.index} {'+'.join(subset_names)} {technique}: "
-                        f"valid={record.valid} optimal={record.optimal} "
-                        f"({_now() - start:.1f}s)",
-                        file=sys.stderr,
-                    )
-    return new_cells
 
+        def checkpoint(record: EfficacyRecord) -> None:
+            nonlocal new_cells
+            handle.write(json.dumps(record_to_json(record)) + "\n")
+            handle.flush()
+            new_cells += 1
+            cell_ms = record.generation_ms + record.learning_ms + record.validation_ms
+            print(
+                f"q{record.query_index} {'+'.join(record.subset)} "
+                f"{record.technique}: valid={record.valid} "
+                f"optimal={record.optimal} ({cell_ms / 1000.0:.1f}s)",
+                file=sys.stderr,
+            )
 
-def _run_parallel(
-    queries: int,
-    seed: int,
-    out_path: Path,
-    techniques: tuple[str, ...],
-    done: set[tuple],
-    *,
-    workers: int,
-    deadline_ms: float | None,
-    sanitize: bool,
-    stats: dict | None,
-    telemetry=None,
-) -> int:
-    """Sharded-driver path of :func:`run` (whole-query granularity)."""
-    from .parallel import parallel_efficacy_records
-
-    pending = [
-        wq
-        for wq in generate_workload(queries, seed=seed)
-        if any(
-            (wq.index, tuple(c.name for c in subset), technique) not in done
-            for subset in column_subsets()
-            for technique in techniques
+        result = parallel_efficacy_records(
+            num_queries=queries,
+            seed=seed,
+            techniques=tuple(techniques),
+            workers=workers,
+            sanitize=sanitize,
+            deadline_ms=deadline_ms,
+            telemetry=telemetry,
+            skip=frozenset(done),
+            on_cell=checkpoint,
         )
-    ]
-    if not pending:
-        if stats is not None:
-            stats.update({"workers": workers, "steals": 0, "requeues": 0})
-        return 0
-    result = parallel_efficacy_records(
-        techniques=techniques,
-        workers=workers,
-        sanitize=sanitize,
-        deadline_ms=deadline_ms,
-        queries=pending,
-        telemetry=telemetry,
-    )
     if stats is not None:
         stats.update(result.pool)
         stats["counters"] = result.counters
         stats["metrics"] = result.metrics
         if result.sanitizer is not None:
             stats["sanitizer"] = result.sanitizer
-    new_cells = 0
-    with out_path.open("a") as handle:
-        for record in result.records:
-            payload = _record_to_json(record)
-            if _cell_key(payload) in done:
-                continue
-            handle.write(json.dumps(payload) + "\n")
-            new_cells += 1
-    print(
-        f"parallel x{workers}: {new_cells} new cells, "
-        f"steals={result.pool.get('steals', 0)} "
-        f"requeues={result.pool.get('requeues', 0)} "
-        f"utilization={result.pool.get('utilization', 0.0)}",
-        file=sys.stderr,
-    )
     return new_cells
 
 
@@ -207,7 +111,7 @@ def summarize(path: Path) -> str:
     with path.open() as handle:
         for line in handle:
             if line.strip():
-                records.append(_record_from_json(json.loads(line)))
+                records.append(record_from_json(json.loads(line)))
     headers2 = ["cols", "possible"]
     for technique in TECHNIQUES:
         headers2 += [f"{technique} valid", f"{technique} optimal"]
@@ -236,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=Path("results/fullscale.jsonl"))
     parser.add_argument(
         "--parallel", type=int, default=1, metavar="N",
-        help="worker processes for the sharded driver (1 = in-process)",
+        help="worker processes (1 = in-process)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="B",
@@ -256,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     telemetry = None
     if args.telemetry is not None:
-        from .parallel import TelemetryConfig
-
         telemetry = TelemetryConfig(directory=args.telemetry)
     new_cells = run(
         args.queries, args.seed, args.out,

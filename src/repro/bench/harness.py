@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from statistics import mean
 
 from ..obs.clock import now as _now
@@ -43,6 +43,7 @@ from ..predicates import Column, Pred, lower_predicate, selectivity
 from ..rewrite import rewrite_query
 from ..smt import conj, is_satisfiable
 from ..smt.qe import unsat_region
+from ..sql.printer import render_pred
 from ..tpch import LINEITEM_DATES, WorkloadQuery, generate_catalog, generate_workload
 
 TECHNIQUES = ("SIA", "TC", "SIA_v1", "SIA_v2")
@@ -123,6 +124,31 @@ class EfficacyRecord:
 
 
 _EFFICACY_CACHE: dict[tuple, list[EfficacyRecord]] = {}
+
+
+def record_to_json(record: EfficacyRecord) -> dict:
+    """JSON encoding of a record (checkpoint lines, run ledger):
+    ``predicate`` becomes its SQL rendering."""
+    payload = asdict(record)
+    del payload["predicate_sql"]  # folded into the "predicate" key
+    payload["predicate"] = (
+        render_pred(record.predicate)
+        if record.predicate is not None
+        else record.predicate_sql
+    )
+    return payload
+
+
+def record_from_json(payload: dict) -> EfficacyRecord:
+    """Inverse of :func:`record_to_json`; the SQL lands in
+    ``predicate_sql`` and ``predicate`` is ``None``."""
+    payload = dict(payload)
+    payload["subset"] = tuple(payload["subset"])
+    # Checkpoints written before the partial flag existed lack the key.
+    payload.setdefault("partial", False)
+    payload["predicate_sql"] = payload["predicate"]
+    payload["predicate"] = None
+    return EfficacyRecord(**payload)
 
 
 def _ground_truth_possible(wq: WorkloadQuery, subset: tuple[Column, ...]) -> bool:
@@ -216,43 +242,25 @@ def efficacy_records(
 ) -> list[EfficacyRecord]:
     """Synthesis attempts for every (query, subset, technique).
 
-    With ``REPRO_BENCH_PARALLEL`` set above 1, the workload is fanned
-    out over that many worker processes (see
-    :mod:`repro.bench.parallel`); record order is identical either way.
+    Runs :func:`repro.bench.parallel.parallel_efficacy_records` on
+    ``REPRO_BENCH_PARALLEL`` workers (0/1 = in-process); record order
+    is identical either way.
     """
+    from .parallel import parallel_efficacy_records
+
     num_queries = num_queries if num_queries is not None else bench_queries()
     seed = seed if seed is not None else bench_seed()
     key = (num_queries, seed, techniques)
     cached = _EFFICACY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    workers = env_int("REPRO_BENCH_PARALLEL", 0)
-    if workers > 1:
-        from .parallel import parallel_efficacy_records
-
-        result = parallel_efficacy_records(
+    if cached is None:
+        cached = parallel_efficacy_records(
             num_queries=num_queries,
             seed=seed,
             techniques=techniques,
-            workers=workers,
-        )
-        _EFFICACY_CACHE[key] = result.records
-        return result.records
-
-    records: list[EfficacyRecord] = []
-    for wq in generate_workload(num_queries, seed=seed):
-        for subset in column_subsets():
-            possible = _ground_truth_possible(wq, subset)
-            for technique in techniques:
-                if technique == "TC":
-                    record = _run_transitive_closure(wq, subset)
-                else:
-                    record = _run_sia_variant(wq, subset, technique)
-                record.possible = possible
-                records.append(record)
-    _EFFICACY_CACHE[key] = records
-    return records
+            workers=env_int("REPRO_BENCH_PARALLEL", 0),
+        ).records
+        _EFFICACY_CACHE[key] = cached
+    return cached
 
 
 # ----------------------------------------------------------------------

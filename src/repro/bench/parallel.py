@@ -1,52 +1,40 @@
-"""Sharded parallel workload driver with persistent warm workers.
+"""The efficacy workload driver: one loop, in-process or one process pool.
 
 The Table-2/3 efficacy experiment is embarrassingly parallel: every
 (query, column subset, technique) cell is an independent synthesis
-run.  Historically this module fanned queries over a static
-``ProcessPoolExecutor``; it is now a sharded work queue over
-**persistent** worker processes:
+run.  :func:`parallel_efficacy_records` is the only loop that produces
+those cells; :func:`repro.bench.harness.efficacy_records`,
+:func:`repro.bench.fullscale.run` and ``repro bench`` all call it.
 
-* **Warm workers.**  Each worker installs a
-  :class:`~repro.smt.session.SessionPool` for its whole lifetime, so
-  ``SmtSession``/enumerator state survives *across* queries, not just
-  within one (extending the PR 3 lifecycle).
-* **Longest-expected-first shards.**  Queries are ranked by the
-  :mod:`repro.bench.schedule` cost model (seeded from
-  ``engine/statistics`` cardinalities) and LPT-assigned, so long-tail
-  queries start first.
-* **Work stealing.**  A worker whose shard drains steals from the tail
-  of the largest remaining shard, so nobody idles while a grinder
-  holds unstarted work.
+* **In-process at ``workers <= 1``.**  Queries run in index order in
+  the calling process, and records keep their ``Pred`` predicates.
+* **One longest-first pool otherwise.**  A spawn-context
+  ``ProcessPoolExecutor`` receives one task per query, submitted in
+  descending :func:`~repro.bench.schedule.expected_costs` order.  The
+  executor hands queued tasks out first-in first-out, so a free worker
+  always takes the longest query not yet started: LPT list scheduling
+  without shards or stealing.
 * **Deadlines.**  ``deadline_ms`` threads a per-cell
   ``SiaConfig.timeout_ms`` budget through the harness: an expired cell
-  yields a *recorded partial result* (section 6.2 semantics), never a
-  hung pool.
-* **Crash isolation.**  Worker death is detected by liveness probes;
-  the in-flight query is requeued **at most once** (an attempt ledger
-  caps retries) and the worker restarted.  A query that kills two
-  workers is recorded as placeholder cells so the merge stays total.
+  yields a *recorded partial result* (section 6.2 semantics).
+* **Crashes.**  If a worker dies, the pool is restarted once for the
+  queries whose results have not arrived; results already in hand are
+  kept.  A second death raises :class:`RuntimeError` naming the
+  queries still missing.  A crash never becomes a placeholder cell.
 
-Determinism is unchanged from the static driver: the workload seed
-fixes every predicate in the parent, each cell's synthesis RNG is
-seeded from its ``SiaConfig`` alone, all cells of one query run
-consecutively on one worker in canonical order (which also pins the
-session pool's warm-state trajectory), and batches are merged by
-ascending query index, never arrival order.  Workers ship records as
-JSON payloads (the ``fullscale`` checkpoint encoding) plus their
-:data:`~repro.smt.stats.GLOBAL_COUNTERS` and
-:data:`~repro.obs.metrics.GLOBAL_METRICS` deltas; scheduling
-statistics (steals, requeues, utilization, queue waits) come back in
-``ParallelRunResult.pool``.
+Records do not depend on the worker count: each cell's synthesis RNG
+is seeded from its ``SiaConfig`` alone, all cells of one query run
+consecutively in one process in canonical order, and batches are
+merged by ascending query index, never arrival order.  Pool workers
+ship their records with ``predicate`` rendered to ``predicate_sql``
+(``Pred`` trees do not cross the process boundary), together with
+their :data:`~repro.smt.stats.GLOBAL_COUNTERS` and
+:data:`~repro.obs.metrics.GLOBAL_METRICS` deltas.
 
 Environment knobs (``SIA_FLOAT_FILTER``, ``REPRO_SANITIZE``) cross the
-process boundary through an explicit initializer dict handed to every
-worker -- never through fork/spawn inheritance -- and each worker
-reports the environment it actually applied so tests can assert
-parity.
-
-Used by ``repro bench --parallel N [--fullscale] [--deadline-ms B]``
-and, via the ``REPRO_BENCH_PARALLEL`` environment knob, by
-:func:`repro.bench.harness.efficacy_records`.
+process boundary through the pool's explicit initializer -- never
+through start-method inheritance -- and every task reports the
+environment its worker applied so tests can assert parity.
 """
 
 from __future__ import annotations
@@ -54,9 +42,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue as queue_mod
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from ..obs.clock import now as _now
 from ..obs.heartbeat import (
@@ -67,7 +57,7 @@ from ..obs.heartbeat import (
     RunModel,
 )
 from ..obs.ledger import RunLedger, cell_entry
-from ..obs.metrics import GLOBAL_METRICS, merge_delta, summarize_values
+from ..obs.metrics import GLOBAL_METRICS, merge_delta
 from ..obs.sanitizer import (
     SANITIZE_ENV,
     install_sanitizer,
@@ -89,25 +79,29 @@ from .harness import (
     bench_queries,
     bench_seed,
     column_subsets,
+    record_from_json,
+    record_to_json,
 )
-from .schedule import assign_shards, expected_costs
+from .schedule import expected_costs
 
-#: Test-only fault injection: a worker handed the query whose index
-#: matches this variable's value exits hard (attempt 0 only), so the
-#: crash-isolation tests can kill a worker mid-cell deterministically.
+#: Test-only fault injection for pool workers.  ``"<query>"`` makes the
+#: worker handed that query exit hard on the first pool's attempt;
+#: ``"<query>:<n>"`` does so on each of the first ``n`` attempts.
 CRASH_ENV = "REPRO_BENCH_CRASH_QUERY"
 
 #: Environment keys propagated into every worker through the explicit
-#: initializer dict (never via start-method inheritance alone).
+#: initializer (never via start-method inheritance alone).
 PROPAGATED_ENV = (FLOAT_MODE_ENV, SANITIZE_ENV, CRASH_ENV)
 
-#: Attempt ledger cap: a query is dispatched at most this many times.
-#: 2 = the at-most-once requeue the crash-isolation contract promises.
-_MAX_ATTEMPTS = 2
+#: Pools started per run: the first one plus one restart after a crash.
+_POOL_ATTEMPTS = 2
 
-#: Parent poll interval while waiting on worker results, seconds.
-#: Bounds crash-detection latency without busy-waiting.
+#: Parent poll interval while telemetry is on, seconds: how often
+#: beacons are folded and silence is checked between results.
 _POLL_S = 0.25
+
+#: A cell already computed: (query index, subset column names, technique).
+CellKey = tuple[int, tuple[str, ...], str]
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ class TelemetryConfig:
 
     ``directory`` receives ``heartbeats.jsonl`` (worker beacons +
     parent driver lines, rendered by ``repro top``) and
-    ``ledger.jsonl`` (the per-attempt run ledger, rendered by ``repro
+    ``ledger.jsonl`` (the per-cell run ledger, rendered by ``repro
     report``).  When no config is given, the telemetry plane does not
     exist: no emitter thread, no beacon queue, no board posts -- the
     null path costs nothing.
@@ -140,64 +134,53 @@ class _TelemetryRecorder:
     Owns the :class:`~repro.obs.heartbeat.RunModel` for the run and the
     heartbeat log file.  Every beacon is folded *and* appended verbatim
     (with a flush, so ``repro top`` can tail a live run); the parent
-    adds ``driver`` lines (progress, steals, queue depth), ``silence``
-    lines (one per newly-flagged worker) and a final ``end`` line.
+    adds ``driver`` lines (progress, queue depth), ``silence`` lines
+    (one per newly-flagged worker) and a final ``end`` line.
     """
 
-    def __init__(self, config: TelemetryConfig, workers: int) -> None:
-        self.config = config
+    def __init__(self, config: TelemetryConfig) -> None:
         self.model = RunModel(interval_ms=config.heartbeat_ms)
-        directory = Path(config.directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        #: Where beacons arrive: an in-process queue, unless the pool
+        #: driver swaps in a process queue.
+        self.channel = BeaconChannel()
+        Path(config.directory).mkdir(parents=True, exist_ok=True)
         self._fh = open(config.heartbeat_path, "w")
-
-    def register(self, worker_id: int) -> None:
-        """Start a worker's silence clock (call once it reports ready,
-        so spawn/import latency is not misread as silence)."""
-        self.model.register(worker_id, _now())
 
     def _write(self, line: dict) -> None:
         self._fh.write(json.dumps(line, sort_keys=True) + "\n")
         self._fh.flush()
 
-    def fold(self, beacons: list[dict]) -> None:
+    def fold(self) -> None:
+        """Fold and log every queued beacon."""
         # Beacon "t" is worker perf-counter time (arbitrary epoch); the
         # parent stamps its own arrival clock as "rx" so every line in
         # the log shares one epoch for `repro top` to order by.
         arrival = _now()
-        for beacon in beacons:
+        for beacon in self.channel.drain():
             self.model.fold(beacon, arrival)
             self._write({**beacon, "rx": round(arrival, 4)})
 
-    def driver_line(
-        self,
-        *,
-        done: int,
-        total: int,
-        steals: int = 0,
-        requeues: int = 0,
-        queue_depth: int = 0,
-    ) -> None:
+    def poll(self) -> None:
+        """:meth:`fold`, then log each newly silent worker."""
+        self.fold()
+        for wid in self.model.flag_silent(_now()):
+            self._write({"type": "silence", "t": round(_now(), 4), "worker": wid})
+
+    def driver_line(self, *, done: int, total: int, queue_depth: int) -> None:
         self._write(
             {
                 "type": "driver",
                 "t": round(_now(), 4),
                 "done": done,
                 "total": total,
-                "steals": steals,
-                "requeues": requeues,
                 "queue_depth": queue_depth,
             }
         )
 
-    def check_silence(self) -> None:
-        for wid in self.model.flag_silent(_now()):
-            self._write(
-                {"type": "silence", "t": round(_now(), 4), "worker": wid}
-            )
-
     def close(self) -> dict:
-        """Write the ``end`` line; returns the run-model rollup."""
+        """Fold the last beacons, write the ``end`` line; returns the
+        run-model rollup."""
+        self.fold()
         rollup = self.model.snapshot()
         self._write(
             {
@@ -222,12 +205,26 @@ class ParallelRunResult:
     #: Run-level sanitizer summary (``--sanitize`` only): process
     #: count, access totals per registry, recorded violations.
     sanitizer: dict | None = None
-    #: Scheduler statistics: steals, requeues, worker restarts,
-    #: queue-wait summary, per-worker busy time and utilization.
+    #: Run statistics: workers, pool restarts, busy time, utilization.
     pool: dict = field(default_factory=dict)
-    #: Propagated-environment snapshot each worker reported from its
-    #: initializer (worker id -> {env key: value or None}).
+    #: Propagated-environment snapshot each pool worker reported
+    #: (worker pid -> {env key: value or None}); empty in-process.
     worker_env: dict[int, dict] = field(default_factory=dict)
+
+
+@dataclass
+class _Batch:
+    """Everything one query's cells produced, shipped as one result."""
+
+    index: int
+    records: list[EfficacyRecord]
+    counters: dict[str, int]
+    metrics: dict[str, dict]
+    ledger: list[dict]
+    busy_ms: float
+    sanitizer: dict | None = None
+    #: (pid, applied environment) of the pool worker that ran it.
+    worker: tuple[int, dict] | None = None
 
 
 def _cell_audit(technique: str) -> str:
@@ -241,37 +238,44 @@ def _cell_audit(technique: str) -> str:
 def _query_batch(
     wq: WorkloadQuery,
     techniques: tuple[str, ...],
-    deadline_ms: float | None = None,
+    deadline_ms: float | None,
+    skip: frozenset[CellKey],
     *,
     telemetry: bool = False,
-) -> tuple[int, list[dict], dict[str, int], dict[str, dict], list[dict]]:
-    """All cells of one query (runs inside a worker process).
+    on_cell: Callable[[EfficacyRecord], None] | None = None,
+) -> _Batch:
+    """Every cell of one query not in ``skip``, in canonical order.
 
-    With ``telemetry`` on, the hot path additionally posts its current
+    ``on_cell`` sees each record as soon as it exists.  With
+    ``telemetry`` on, the hot path additionally posts its current
     position to the heartbeat status board (a few plain attribute
     stores per *cell*, read by the emitter thread) and builds one run
     ledger entry per cell with that cell's solver-counter delta.  Off,
     neither exists -- the null path is unchanged.
     """
-    from .fullscale import _record_to_json
-
     tracer = get_tracer()
+    start = _now()
     before = GLOBAL_COUNTERS.snapshot()
     metrics_before = GLOBAL_METRICS.snapshot()
-    payloads: list[dict] = []
-    ledger_entries: list[dict] = []
-    cells_done = 0
+    records: list[EfficacyRecord] = []
+    ledger: list[dict] = []
     with GLOBAL_METRICS.timer("bench.query_ms").time(), tracer.span(
         "bench.query", index=wq.index, counters=True
     ):
         for subset in column_subsets():
+            subset_names = tuple(col.name for col in subset)
+            pending = [
+                t for t in techniques if (wq.index, subset_names, t) not in skip
+            ]
+            if not pending:
+                continue
             subset_label = "+".join(str(col) for col in subset)
             if telemetry:
                 GLOBAL_BOARD.post(
                     query=wq.index,
                     cell=subset_label,
                     phase="ground_truth",
-                    cells_done=cells_done,
+                    cells_done=len(records),
                     deadline_ms=deadline_ms,
                 )
             with tracer.span(
@@ -280,12 +284,12 @@ def _query_batch(
                 subset=",".join(str(col) for col in subset),
             ):
                 possible = _ground_truth_possible(wq, subset)
-            for technique in techniques:
+            for technique in pending:
                 if telemetry:
                     GLOBAL_BOARD.post(
                         cell=f"{subset_label}/{technique}",
                         phase="cell",
-                        cells_done=cells_done,
+                        cells_done=len(records),
                     )
                     cell_before = GLOBAL_COUNTERS.snapshot()
                 with tracer.span("bench.cell", technique=technique):
@@ -296,79 +300,49 @@ def _query_batch(
                             wq, subset, technique, deadline_ms=deadline_ms
                         )
                 record.possible = possible
-                payload = _record_to_json(record)
-                payloads.append(payload)
-                cells_done += 1
+                records.append(record)
+                if on_cell is not None:
+                    on_cell(record)
                 if telemetry:
-                    ledger_entries.append(
+                    ledger.append(
                         cell_entry(
-                            payload,
+                            record_to_json(record),
                             counters=GLOBAL_COUNTERS.delta_since(cell_before),
                             audit=_cell_audit(technique),
                             deadline_ms=deadline_ms,
                         )
                     )
     if telemetry:
-        GLOBAL_BOARD.post(phase="idle", cells_done=cells_done)
-    GLOBAL_METRICS.counter("bench.cells").inc(len(payloads))
-    return (
-        wq.index,
-        payloads,
-        GLOBAL_COUNTERS.delta_since(before),
-        GLOBAL_METRICS.delta_since(metrics_before),
-        ledger_entries,
+        GLOBAL_BOARD.post(phase="idle", cells_done=len(records))
+    GLOBAL_METRICS.counter("bench.cells").inc(len(records))
+    sanitizer = maybe_install_sanitizer()
+    return _Batch(
+        index=wq.index,
+        records=records,
+        counters=GLOBAL_COUNTERS.delta_since(before),
+        metrics=GLOBAL_METRICS.delta_since(metrics_before),
+        ledger=ledger,
+        busy_ms=(_now() - start) * 1000.0,
+        sanitizer=sanitizer.drain().to_json() if sanitizer is not None else None,
     )
 
 
-def _crashed_payloads(
-    wq: WorkloadQuery, techniques: tuple[str, ...]
-) -> list[dict]:
-    """Placeholder cells for a query that killed two workers.
-
-    Shaped exactly like real payloads (``valid``/``optimal`` False) so
-    the merged record list stays total and query-ordered even when a
-    query is genuinely poisonous.
-    """
-    from .fullscale import _record_to_json
-
-    payloads = []
-    for subset in column_subsets():
-        for technique in techniques:
-            payloads.append(
-                _record_to_json(
-                    EfficacyRecord(
-                        query_index=wq.index,
-                        subset=tuple(c.name for c in subset),
-                        n_cols=len(subset),
-                        technique=technique,
-                        possible=False,
-                        valid=False,
-                        optimal=False,
-                    )
-                )
-            )
-    return payloads
-
-
 # ----------------------------------------------------------------------
-# Worker side
+# Pool worker side (top-level functions so spawn can pickle them)
 # ----------------------------------------------------------------------
-def _worker_env_overrides() -> dict[str, str]:
-    """The parent's propagated-environment snapshot at dispatch time."""
-    return {
-        key: os.environ[key] for key in PROPAGATED_ENV if key in os.environ
-    }
-
-
-def _apply_env_overrides(overrides: dict[str, str]) -> None:
-    """Explicit worker initializer for environment-driven knobs.
+def _init_worker(
+    overrides: dict[str, str], beacon_queue, heartbeat_ms: float
+) -> None:
+    """Pool initializer: environment, sanitizer and heartbeat emitter.
 
     Applies exactly the parent's snapshot: keys present in
     ``overrides`` are set, propagated keys absent from it are cleared.
     Spawn children *do* inherit the parent's environment on every
     platform this repo targets, but the contract must not depend on
-    start-method details -- the initializer makes worker configuration
-    explicit, testable and start-method-proof.
+    start-method details.  With telemetry on (``beacon_queue`` given),
+    one beacon is posted at once -- every worker is seen even if it
+    exits before its first period -- and a daemon emitter beats for the
+    rest of the worker's life.
     """
     for key in PROPAGATED_ENV:
         value = overrides.get(key)
@@ -376,92 +350,39 @@ def _apply_env_overrides(overrides: dict[str, str]) -> None:
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
+    maybe_install_sanitizer()
+    if beacon_queue is not None:
+        emitter = HeartbeatEmitter(
+            os.getpid(), BeaconChannel(beacon_queue), interval_ms=heartbeat_ms
+        )
+        emitter.beat()
+        emitter.start()
 
 
-def _worker_main(
-    worker_id: int,
-    task_queue,
-    result_queue,
-    env_overrides: dict[str, str],
+def _crash_requested(index: int, attempt: int) -> bool:
+    """Whether :data:`CRASH_ENV` asks this task to kill its worker."""
+    query, _, attempts = os.environ.get(CRASH_ENV, "").partition(":")
+    return query == str(index) and attempt < int(attempts or 1)
+
+
+def _pool_task(
+    wq: WorkloadQuery,
     techniques: tuple[str, ...],
     deadline_ms: float | None,
-    beacon_queue=None,
-    heartbeat_ms: float = DEFAULT_INTERVAL_MS,
-) -> None:
-    """Persistent worker loop (top-level so spawn can pickle it).
-
-    Pulls ``(query, attempt)`` tasks until the ``None`` sentinel.  One
-    session pool spans the whole loop -- that is the point: warm
-    sessions survive across queries.  Every result message carries the
-    batch payloads, both registry deltas, the drained sanitizer report
-    (when installed), the wait/busy timings the parent folds into the
-    pool statistics, and (telemetry runs) the batch's ledger entries.
-
-    ``beacon_queue`` is the telemetry side channel: when given, a
-    daemon :class:`~repro.obs.heartbeat.HeartbeatEmitter` posts one
-    beacon per ``heartbeat_ms`` through a never-blocking
-    :class:`~repro.obs.heartbeat.BeaconChannel`.  When ``None``
-    (telemetry off) no thread, channel or board post exists.
-    """
-    _apply_env_overrides(env_overrides)
-    sanitizer = maybe_install_sanitizer()
-    from ..smt.session import session_pool
-
-    telemetry = beacon_queue is not None
-    emitter = None
-    if telemetry:
-        emitter = HeartbeatEmitter(
-            worker_id,
-            BeaconChannel(beacon_queue),
-            interval_ms=heartbeat_ms,
-        ).start()
-    result_queue.put(
-        (
-            "ready",
-            worker_id,
-            {key: os.environ.get(key) for key in PROPAGATED_ENV},
-        )
+    skip: frozenset[CellKey],
+    telemetry: bool,
+    attempt: int,
+) -> _Batch:
+    """One query's batch inside a pool worker."""
+    if _crash_requested(wq.index, attempt):
+        os._exit(3)  # fault injection, see CRASH_ENV
+    batch = _query_batch(wq, techniques, deadline_ms, skip, telemetry=telemetry)
+    batch.records = [record_from_json(record_to_json(r)) for r in batch.records]
+    batch.worker = (
+        os.getpid(),
+        {key: os.environ.get(key) for key in PROPAGATED_ENV},
     )
-    try:
-        with session_pool():
-            while True:
-                wait_start = _now()
-                task = task_queue.get()
-                wait_ms = (_now() - wait_start) * 1000.0
-                if task is None:
-                    break
-                wq, attempt = task
-                if attempt == 0 and os.environ.get(CRASH_ENV) == str(wq.index):
-                    os._exit(3)  # fault injection, see CRASH_ENV
-                busy_start = _now()
-                index, payloads, delta, metrics_delta, ledger_entries = (
-                    _query_batch(
-                        wq, techniques, deadline_ms, telemetry=telemetry
-                    )
-                )
-                busy_ms = (_now() - busy_start) * 1000.0
-                report = (
-                    sanitizer.drain().to_json()
-                    if sanitizer is not None
-                    else None
-                )
-                result_queue.put(
-                    (
-                        "done",
-                        worker_id,
-                        index,
-                        payloads,
-                        delta,
-                        metrics_delta,
-                        report,
-                        busy_ms,
-                        wait_ms,
-                        ledger_entries,
-                    )
-                )
-    finally:
-        if emitter is not None:
-            emitter.stop()
+    return batch
 
 
 def default_workers() -> int:
@@ -472,273 +393,92 @@ def default_workers() -> int:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-def _run_inline(
+def _run_pool(
     queries: list[WorkloadQuery],
     techniques: tuple[str, ...],
     deadline_ms: float | None,
-    batches: dict[int, list[dict]],
-    deltas: dict[int, tuple],
-    reports: list[dict],
-    ledgers: dict[int, list],
-    telemetry: TelemetryConfig | None,
-) -> tuple[dict, dict[int, dict]]:
-    """The ``workers <= 1`` path: same pipeline, no processes.
-
-    Installs the same worker-lifetime session pool the sharded path
-    gives each worker, so a single-process run exercises (and its
-    records reflect) the identical warm-session trajectory.  With
-    telemetry on, the single "worker" (id 0) runs the same emitter
-    thread over an in-process channel, so the heartbeat log has the
-    same shape as a sharded run's.
-    """
-    from ..smt.session import session_pool
-
-    recorder = emitter = channel = None
-    if telemetry is not None:
-        recorder = _TelemetryRecorder(telemetry, workers=1)
-        recorder.register(0)
-        channel = BeaconChannel()
-        emitter = HeartbeatEmitter(
-            0, channel, interval_ms=telemetry.heartbeat_ms
-        ).start()
-
-    busy_ms = 0.0
-    done = 0
-    try:
-        with session_pool():
-            for wq in queries:
-                sanitizer = maybe_install_sanitizer()
-                start = _now()
-                index, payloads, delta, metrics_delta, entries = _query_batch(
-                    wq, techniques, deadline_ms,
-                    telemetry=telemetry is not None,
-                )
-                busy_ms += (_now() - start) * 1000.0
-                batches[index] = payloads
-                deltas[index] = (delta, metrics_delta)
-                ledgers[index] = entries
-                done += 1
-                if sanitizer is not None:
-                    reports.append(sanitizer.drain().to_json())
-                if recorder is not None:
-                    recorder.fold(channel.drain())
-                    recorder.driver_line(
-                        done=done,
-                        total=len(queries),
-                        queue_depth=len(queries) - done,
-                    )
-                    recorder.check_silence()
-    finally:
-        if emitter is not None:
-            emitter.stop()
-            GLOBAL_BOARD.reset()
-    pool_stats = {
-        "steals": 0,
-        "requeues": 0,
-        "worker_restarts": 0,
-        "queue_wait_ms": summarize_values([]),
-        "busy_ms": [round(busy_ms, 1)],
-    }
-    if recorder is not None:
-        recorder.fold(channel.drain())
-        pool_stats["heartbeats"] = recorder.close()
-    return pool_stats, {}
-
-
-def _run_sharded(
-    queries: list[WorkloadQuery],
-    techniques: tuple[str, ...],
-    deadline_ms: float | None,
+    skip: frozenset[CellKey],
     workers: int,
-    batches: dict[int, list[dict]],
-    deltas: dict[int, tuple],
-    reports: list[dict],
-    ledgers: dict[int, list],
-    telemetry: TelemetryConfig | None,
-) -> tuple[dict, dict[int, dict]]:
-    """Dispatch ``queries`` over persistent workers (see module doc)."""
+    recorder: _TelemetryRecorder | None,
+    deliver: Callable[[_Batch], None],
+) -> int:
+    """Run ``queries`` on a longest-first pool; returns pool restarts."""
     # Spawn, never the platform default: fork would clone the parent's
     # warm registries (interned terms, counters) into every worker, and
     # the deltas workers report would ride on inherited state instead
     # of starting from zero.
     context = multiprocessing.get_context("spawn")
-    result_queue = context.Queue()
-    recorder = beacon_queue = beacon_channel = None
+    beacon_queue = None
     heartbeat_ms = DEFAULT_INTERVAL_MS
-    if telemetry is not None:
-        recorder = _TelemetryRecorder(telemetry, workers=workers)
-        heartbeat_ms = telemetry.heartbeat_ms
-        beacon_queue = context.Queue()
-        beacon_channel = BeaconChannel(beacon_queue)
-    env_overrides = _worker_env_overrides()
-    shards = [list(shard) for shard in assign_shards(expected_costs(queries), workers)]
-    requeued: list[int] = []
-    attempts: dict[int, int] = {}  # position -> dispatches so far
-    inflight: list[tuple[int, int] | None] = [None] * workers
-    task_queues: list = [None] * workers
-    procs: list = [None] * workers
-    worker_env: dict[int, dict] = {}
-    busy = [0.0] * workers
-    waits: list[float] = []
-    steals = requeues = restarts = 0
-    remaining = len(queries)
-
-    def start_worker(wid: int) -> None:
-        task_queues[wid] = context.Queue()
-        proc = context.Process(
-            target=_worker_main,
-            args=(
-                wid,
-                task_queues[wid],
-                result_queue,
-                env_overrides,
-                techniques,
-                deadline_ms,
-                beacon_queue,
-                heartbeat_ms,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        procs[wid] = proc
-
-    def next_position(wid: int) -> int | None:
-        nonlocal steals
-        if requeued:
-            return requeued.pop(0)
-        if shards[wid]:
-            return shards[wid].pop(0)
-        donor = None
-        for w in range(workers):
-            if shards[w] and (donor is None or len(shards[w]) > len(shards[donor])):
-                donor = w
-        if donor is None:
-            return None
-        steals += 1
-        # Tail of the donor shard: the cheapest work it has not started.
-        return shards[donor].pop()
-
-    def dispatch(wid: int) -> None:
-        position = next_position(wid)
-        if position is None:
-            return
-        attempt = attempts.get(position, 0)
-        attempts[position] = attempt + 1
-        inflight[wid] = (position, attempt)
-        task_queues[wid].put((queries[position], attempt))
-
-    def handle_death(wid: int) -> None:
-        nonlocal restarts, requeues, remaining
-        procs[wid].join()
-        procs[wid] = None
-        task, inflight[wid] = inflight[wid], None
-        if task is not None:
-            position, attempt = task
-            if attempt + 1 < _MAX_ATTEMPTS:
-                # At-most-once requeue, tracked by the attempt ledger.
-                requeues += 1
-                requeued.append(position)
-            else:
-                wq = queries[position]
-                batches[wq.index] = _crashed_payloads(wq, techniques)
-                deltas[wq.index] = ({}, {})
-                ledgers[wq.index] = []
-                remaining -= 1
-        if requeued or any(shards) or any(inflight):
-            restarts += 1
-            if restarts > 2 * len(queries) + workers:
-                raise RuntimeError(
-                    "parallel driver: workers are crash-looping "
-                    f"({restarts} restarts for {len(queries)} queries)"
-                )
-            start_worker(wid)
-            dispatch(wid)
-
-    for wid in range(workers):
-        start_worker(wid)
-    for wid in range(workers):
-        dispatch(wid)
-
-    try:
-        while remaining:
-            if recorder is not None:
-                recorder.fold(beacon_channel.drain())
-                recorder.check_silence()
-            try:
-                message = result_queue.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                for wid in range(workers):
-                    proc = procs[wid]
-                    if proc is not None and not proc.is_alive():
-                        handle_death(wid)
-                continue
-            if message[0] == "ready":
-                _, wid, env_snapshot = message
-                worker_env[wid] = env_snapshot
-                if recorder is not None:
-                    recorder.register(wid)
-                continue
-            (
-                _,
-                wid,
-                index,
-                payloads,
-                delta,
-                metrics_delta,
-                report,
-                busy_ms,
-                wait_ms,
-                ledger_entries,
-            ) = message
-            inflight[wid] = None
-            busy[wid] += busy_ms
-            waits.append(wait_ms)
-            if report is not None:
-                reports.append(report)
-            if index in batches:
-                # Duplicate of a cell the crash path already settled
-                # (the worker died *after* posting its result): keep
-                # the first copy, the merge stays at-most-once.
-                dispatch(wid)
-                continue
-            batches[index] = payloads
-            deltas[index] = (delta, metrics_delta)
-            ledgers[index] = ledger_entries
-            remaining -= 1
-            dispatch(wid)
-            if recorder is not None:
-                recorder.driver_line(
-                    done=len(queries) - remaining,
-                    total=len(queries),
-                    steals=steals,
-                    requeues=requeues,
-                    queue_depth=sum(len(s) for s in shards) + len(requeued),
-                )
-    finally:
-        for wid in range(workers):
-            proc = procs[wid]
-            if proc is not None and proc.is_alive():
-                task_queues[wid].put(None)
-        for proc in procs:
-            if proc is None:
-                continue
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - shutdown backstop
-                proc.terminate()
-                proc.join()
-
-    pool_stats = {
-        "steals": steals,
-        "requeues": requeues,
-        "worker_restarts": restarts,
-        "queue_wait_ms": summarize_values(waits),
-        "busy_ms": [round(value, 1) for value in busy],
-    }
     if recorder is not None:
-        # Final beats posted by each worker's emitter.stop() land here.
-        recorder.fold(beacon_channel.drain())
-        pool_stats["heartbeats"] = recorder.close()
-    return pool_stats, worker_env
+        # Workers beat from other processes: swap the recorder's
+        # in-process channel for one over a process queue.
+        beacon_queue = context.Queue()
+        recorder.channel = BeaconChannel(beacon_queue)
+        heartbeat_ms = recorder.model.interval_ms
+    overrides = {
+        key: os.environ[key] for key in PROPAGATED_ENV if key in os.environ
+    }
+    initargs = (overrides, beacon_queue, heartbeat_ms)
+    costs = expected_costs(queries)
+    todo = [
+        queries[pos]
+        for pos in sorted(range(len(queries)), key=lambda pos: (-costs[pos], pos))
+    ]
+    arrived: set[int] = set()
+    for attempt in range(_POOL_ATTEMPTS):
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(todo)),
+            mp_context=context,
+            initializer=_init_worker,
+            initargs=initargs,
+        )
+        try:
+            # The executor hands queued tasks out in submission order.
+            pending = {
+                pool.submit(
+                    _pool_task, wq, techniques, deadline_ms, skip,
+                    recorder is not None, attempt,
+                )
+                for wq in todo
+            }
+            # After a worker death the executor fails every unfinished
+            # future at once, so the loop still drains; results that
+            # arrived before the crash are delivered and kept.
+            while pending:
+                finished, pending = wait(
+                    pending,
+                    timeout=_POLL_S if recorder is not None else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in finished:
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        continue
+                    batch = future.result()
+                    deliver(batch)
+                    arrived.add(batch.index)
+                    if recorder is not None:
+                        left = len(queries) - len(arrived)
+                        recorder.driver_line(
+                            done=len(arrived),
+                            total=len(queries),
+                            queue_depth=max(left - workers, 0),
+                        )
+                if recorder is not None:
+                    recorder.poll()
+        finally:
+            # Joins the workers.  The beacon queue was drained at the
+            # last poll, so it holds at most a beat or two per worker
+            # and cannot block a worker's exit.
+            pool.shutdown(cancel_futures=True)
+        todo = [wq for wq in todo if wq.index not in arrived]
+        if not todo:
+            return attempt
+    missing = sorted(wq.index for wq in todo)
+    raise RuntimeError(
+        f"parallel driver: a worker died in {_POOL_ATTEMPTS} pools in a row; "
+        f"queries {missing} have no results"
+    )
 
 
 def parallel_efficacy_records(
@@ -749,23 +489,24 @@ def parallel_efficacy_records(
     workers: int | None = None,
     sanitize: bool = False,
     deadline_ms: float | None = None,
-    queries: list[WorkloadQuery] | None = None,
     telemetry: TelemetryConfig | None = None,
+    skip: frozenset[CellKey] = frozenset(),
+    on_cell: Callable[[EfficacyRecord], None] | None = None,
 ) -> ParallelRunResult:
-    """Run the efficacy workload across ``workers`` processes.
+    """Synthesis attempts for every (query, subset, technique) cell.
 
-    Returns the records in the same order as
-    :func:`repro.bench.harness.efficacy_records` (ascending query
-    index, subsets and techniques in their canonical enumeration
-    order) together with the summed per-worker solver-counter deltas.
-    Record ``predicate`` fields are SQL-rendered in transit and come
-    back ``None``, exactly like ``fullscale`` checkpoint round-trips.
+    Returns the records in ascending query index, subsets and
+    techniques in their canonical enumeration order, together with the
+    summed solver-counter and metric deltas.  In-process records keep
+    their ``Pred`` predicates; pool records carry ``predicate_sql``
+    instead (``predicate`` is ``None``).
 
     ``deadline_ms`` caps each SIA cell's synthesis wall-clock; expired
     cells come back as recorded partial results (best valid predicate
-    so far, section 6.2), never exceptions.  ``queries`` overrides the
-    workload (the fullscale runner passes its pending subset);
-    ``num_queries``/``seed`` generate it otherwise.
+    so far, section 6.2), never exceptions.  Cells in ``skip`` are not
+    run (the resumable fullscale runner passes its checkpoint).
+    ``on_cell`` receives each record as soon as the calling process
+    has it: per cell in-process, per finished query from a pool.
 
     ``sanitize=True`` installs the shared-state sanitizer in this
     process, exports its environment flag so every worker installs it
@@ -776,67 +517,90 @@ def parallel_efficacy_records(
     ``<dir>/heartbeats.jsonl`` and every cell lands in
     ``<dir>/ledger.jsonl`` (ascending query order, like the merge).
     """
-    from .fullscale import _record_from_json
-
     num_queries = num_queries if num_queries is not None else bench_queries()
     seed = seed if seed is not None else bench_seed()
     workers = workers if workers is not None else default_workers()
-    if queries is None:
-        queries = generate_workload(num_queries, seed=seed)
+    queries = generate_workload(num_queries, seed=seed)
 
     sanitizer = None
     if sanitize:
         os.environ[SANITIZE_ENV] = "1"
         sanitizer = install_sanitizer()
-    reports: list[dict] = []
-    batches: dict[int, list[dict]] = {}
-    deltas: dict[int, tuple] = {}
-    ledgers: dict[int, list] = {}
+    recorder = emitter = None
+    if telemetry is not None:
+        recorder = _TelemetryRecorder(telemetry)
+    batches: dict[int, _Batch] = {}
+
+    def deliver(batch: _Batch) -> None:
+        batches[batch.index] = batch
+        if on_cell is not None and batch.worker is not None:
+            for record in batch.records:
+                on_cell(record)
+
+    pool_stats: dict = {"workers": max(workers, 1), "restarts": 0}
     start = _now()
     try:
-        if workers <= 1:
-            pool_stats, worker_env = _run_inline(
-                queries, techniques, deadline_ms, batches, deltas, reports,
-                ledgers, telemetry,
+        if workers > 1 and queries:
+            pool_stats["restarts"] = _run_pool(
+                queries, techniques, deadline_ms, skip, workers,
+                recorder, deliver,
             )
         else:
-            pool_stats, worker_env = _run_sharded(
-                queries, techniques, deadline_ms, workers,
-                batches, deltas, reports, ledgers, telemetry,
-            )
+            if recorder is not None:
+                emitter = HeartbeatEmitter(
+                    os.getpid(),
+                    recorder.channel,
+                    interval_ms=telemetry.heartbeat_ms,
+                ).start()
+            for done, wq in enumerate(queries, start=1):
+                deliver(
+                    _query_batch(
+                        wq, techniques, deadline_ms, skip,
+                        telemetry=recorder is not None, on_cell=on_cell,
+                    )
+                )
+                if recorder is not None:
+                    recorder.driver_line(
+                        done=done,
+                        total=len(queries),
+                        queue_depth=len(queries) - done,
+                    )
+                    recorder.poll()
     finally:
         if sanitize:
             os.environ.pop(SANITIZE_ENV, None)
+        if emitter is not None:
+            emitter.stop()
+            GLOBAL_BOARD.reset()
+        if recorder is not None:
+            pool_stats["heartbeats"] = recorder.close()
     wall_ms = (_now() - start) * 1000.0
-    effective = max(workers, 1)
-    pool_stats["workers"] = effective
+    busy_ms = sum(batch.busy_ms for batch in batches.values())
+    pool_stats["busy_ms"] = round(busy_ms, 1)
     pool_stats["wall_ms"] = round(wall_ms, 1)
     pool_stats["utilization"] = round(
-        min(sum(pool_stats["busy_ms"]) / max(effective * wall_ms, 1e-9), 1.0),
-        4,
+        min(busy_ms / max(pool_stats["workers"] * wall_ms, 1e-9), 1.0), 4
     )
     if deadline_ms is not None:
         pool_stats["deadline_ms"] = deadline_ms
 
-    # Merge per-batch deltas in ascending query index, never arrival
-    # order, so the aggregate is identical for any worker count.
-    totals: dict[str, int] = {}
-    metric_totals: dict[str, dict] = {}
-    for index in sorted(deltas):
-        delta, metrics_delta = deltas[index]
-        for name, value in delta.items():
-            totals[name] = totals.get(name, 0) + value
-        merge_delta(metric_totals, metrics_delta)
-
-    records = [
-        _record_from_json(payload)
-        for index in sorted(batches)
-        for payload in batches[index]
-    ]
+    # Merge in ascending query index, never arrival order, so records
+    # and aggregates are identical for any worker count.
+    ordered = [batches[index] for index in sorted(batches)]
+    counters: dict[str, int] = {}
+    metrics: dict[str, dict] = {}
+    reports: list[dict] = []
+    worker_env: dict[int, dict] = {}
+    for batch in ordered:
+        for name, value in batch.counters.items():
+            counters[name] = counters.get(name, 0) + value
+        merge_delta(metrics, batch.metrics)
+        if batch.sanitizer is not None:
+            reports.append(batch.sanitizer)
+        if batch.worker is not None:
+            pid, env = batch.worker
+            worker_env[pid] = env
     if telemetry is not None:
-        # Ledger lines land in ascending query order, exactly like the
-        # record merge, so a ledger is reproducible across worker
-        # counts (timestamps and counters aside).
         with RunLedger(
             telemetry.ledger_path,
             {
@@ -851,8 +615,8 @@ def parallel_efficacy_records(
                 "queries": len(queries),
             },
         ) as run_ledger:
-            for index in sorted(ledgers):
-                for entry in ledgers[index]:
+            for batch in ordered:
+                for entry in batch.ledger:
                     run_ledger.append(entry)
     summary: dict | None = None
     if sanitizer is not None:
@@ -860,9 +624,9 @@ def parallel_efficacy_records(
         uninstall_sanitizer()
         summary = summarize_reports(reports)
     return ParallelRunResult(
-        records=records,
-        counters=totals,
-        metrics=metric_totals,
+        records=[record for batch in ordered for record in batch.records],
+        counters=counters,
+        metrics=metrics,
         workers=workers,
         sanitizer=summary,
         pool=pool_stats,

@@ -1,13 +1,12 @@
-"""Longest-expected-first scheduling for the sharded workload driver.
+"""Expected synthesis cost per query, for longest-first dispatch.
 
 The efficacy workload's wall-clock lives in its tail: BENCH history
-shows p95 around 8x the median even with the float tier on, so a
-static one-query-per-slot fan-out leaves most workers idle while one
-grinds.  The sharded driver (:mod:`repro.bench.parallel`) instead
-ranks queries by *expected* synthesis cost before dispatching and
-assigns them longest-first to the least-loaded shard (the classic LPT
-heuristic), so the grinders start early and the cheap queries fill the
-gaps -- with work stealing mopping up whatever the estimate got wrong.
+shows p95 around 8x the median even with the float tier on, so a pool
+fed in query-index order leaves most workers idle while one grinds.
+The pool driver (:mod:`repro.bench.parallel`) instead submits queries
+in descending *expected* synthesis cost, and each free worker takes
+the next one (the classic LPT list-scheduling heuristic), so the
+grinders start early and the cheap queries fill the gaps.
 
 The cost estimate is seeded from :mod:`repro.engine.statistics`
 cardinalities, as a real optimizer would seed admission control: a
@@ -31,7 +30,7 @@ from ..predicates import Comparison, PAnd, PNot, POr, Pred
 from ..predicates.dates import date_to_days
 from ..tpch import LINEITEM_DATES, WorkloadQuery
 
-__all__ = ["assign_shards", "expected_costs", "synthetic_lineitem_stats"]
+__all__ = ["expected_costs", "synthetic_lineitem_stats"]
 
 #: The workload generator's literal domain (tpch.workload draws dates
 #: uniformly from this range); the synthetic histogram mirrors it.
@@ -96,24 +95,3 @@ def expected_costs(queries: list[WorkloadQuery]) -> list[float]:
         selectivity = estimate_selectivity(wq.predicate, stats)
         costs.append(float(terms + 2 * cols) * (2.0 - selectivity))
     return costs
-
-
-def assign_shards(costs: list[float], workers: int) -> list[list[int]]:
-    """LPT assignment: positions into ``costs``, one list per worker.
-
-    Queries are taken in descending expected cost (ties broken by
-    position, so the assignment is deterministic) and each goes to the
-    currently least-loaded shard.  Within a shard the resulting order
-    is descending cost -- workers run their grinders first -- and the
-    driver steals from the *tail* of the largest remaining shard, i.e.
-    the cheapest work the busiest worker has not started.
-    """
-    workers = max(workers, 1)
-    shards: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0.0] * workers
-    order = sorted(range(len(costs)), key=lambda pos: (-costs[pos], pos))
-    for pos in order:
-        target = min(range(workers), key=lambda w: (loads[w], w))
-        shards[target].append(pos)
-        loads[target] += costs[pos]
-    return shards

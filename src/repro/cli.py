@@ -419,16 +419,10 @@ def _print_pool_stats(pool: dict, metrics: dict | None = None) -> None:
     """Scheduler summary, gauge values, and the telemetry rollup."""
     if not pool:
         return
-    utilization = pool.get("utilization", 0.0)
-    wait = pool.get("queue_wait_ms", {})
     print(
         f"pool: {pool.get('workers', 1)} worker(s) at "
-        f"{utilization:.0%} utilization, "
-        f"steals={pool.get('steals', 0)} "
-        f"requeues={pool.get('requeues', 0)} "
-        f"restarts={pool.get('worker_restarts', 0)}, "
-        f"queue wait p50/p95 {wait.get('p50', 0.0):.1f}/"
-        f"{wait.get('p95', 0.0):.1f} ms"
+        f"{pool.get('utilization', 0.0):.0%} utilization, "
+        f"restarts={pool.get('restarts', 0)}"
     )
     gauges = _run_gauges(pool, metrics)
     if gauges:
@@ -532,9 +526,9 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
 
     Every finished (query, subset, technique) cell appends one JSON
     line to the checkpoint, so an interrupted run resumes where it
-    stopped; ``--parallel N`` fans pending queries over the sharded
-    warm-worker driver.  The perf entry lands as ``parallel/fullscale``
-    with the scheduler statistics attached.
+    stopped; ``--parallel N`` runs pending queries on a longest-first
+    process pool.  The perf entry lands as ``parallel/fullscale`` with
+    the run statistics attached.
     """
     import json
     from pathlib import Path
@@ -589,8 +583,7 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
     pool = {
         key: stats[key]
         for key in (
-            "workers", "steals", "requeues", "worker_restarts",
-            "queue_wait_ms", "busy_ms", "utilization", "wall_ms",
+            "workers", "restarts", "busy_ms", "utilization", "wall_ms",
             "deadline_ms", "heartbeats",
         )
         if key in stats

@@ -30,12 +30,12 @@ from ..smt import (
     Atom,
     Formula,
     LinExpr,
+    SmtSession,
     SolverError,
     Var,
     compare,
     conj,
     disj,
-    lease_session,
 )
 from ..smt.theory import SolverBudgetError
 from .config import RANDOM_BOX, SiaConfig
@@ -204,13 +204,6 @@ class IncrementalEnumerator:
     asserted outright, so the unboxed fallback (``next(...,
     boxed=False)``) reuses the same warm session instead of building a
     second solver over the same base formula.
-
-    The session comes from a :func:`repro.smt.lease_session` lease:
-    with a :class:`~repro.smt.SessionPool` installed (worker processes
-    of the sharded driver), enumerations over a recurring base formula
-    -- every CEGIS iteration's TRUE sampler shares one base -- reuse a
-    warm pooled session, and all additions ride in the lease's
-    retractable work scope so nothing leaks into the next checkout.
     """
 
     def __init__(
@@ -223,14 +216,12 @@ class IncrementalEnumerator:
         with_box: bool,
     ) -> None:
         self.variables = variables
-        self._lease = lease_session(
-            (base,),
-            bnb_budget=config.bnb_budget,
-            float_filter=config.float_filter,
+        self.session = SmtSession(
+            bnb_budget=config.bnb_budget, float_filter=config.float_filter
         )
-        self.session = self._lease.session
+        self.session.assert_base(base)
         self._box_scope = (
-            self._lease.push(
+            self.session.push(
                 box_formula(variables, config.sample_box), label="sample-box"
             )
             if with_box
@@ -240,11 +231,11 @@ class IncrementalEnumerator:
         self._block(known)
 
     def add(self, formula: Formula) -> None:
-        self._lease.add(formula)
+        self.session.assert_base(formula)
 
     def _block(self, points: list[Point]) -> None:
         for point in points[self.blocked:]:
-            self._lease.add(not_old_formula([point], self.variables))
+            self.session.assert_base(not_old_formula([point], self.variables))
             self.blocked += 1
 
     def next(
@@ -269,10 +260,8 @@ class IncrementalEnumerator:
         return {var: model.value(var) for var in self.variables}
 
     def close(self) -> None:
-        """Release the session lease: retracts the box and work scopes
-        and returns the session to the pool (or closes it when
-        unpooled).  Idempotent."""
-        self._lease.release()
+        """Close the session (retracts the box scope).  Idempotent."""
+        self.session.close()
 
 
 # Backwards-compatible alias used inside Sampler.
@@ -291,26 +280,22 @@ def enumerate_all(
     section 5.3).  ``exhausted=True`` means the enumeration completed;
     ``False`` means the limit was hit."""
     points: list[Point] = []
-    lease = lease_session(
-        (base,), bnb_budget=bnb_budget, float_filter=float_filter
-    )
+    session = SmtSession(bnb_budget=bnb_budget, float_filter=float_filter)
+    session.assert_base(base)
     try:
         for _ in range(limit):
             try:
-                if lease.check() != SAT:
+                if session.check() != SAT:
                     return SampleSet(points, exhausted=True)
             except (SolverError, SolverBudgetError):
                 return SampleSet(points, exhausted=False)
-            model = lease.model()
+            model = session.model()
             point = {var: model.value(var) for var in variables}
             points.append(point)
-            lease.add(not_old_formula([point], variables))
+            session.assert_base(not_old_formula([point], variables))
         return SampleSet(points, exhausted=False)
     finally:
-        # Historically this session was simply abandoned (leaked
-        # scopes and an unbalanced sessions_created); releasing the
-        # lease balances the counters and lets a pool reuse it.
-        lease.release()
+        session.close()
 
 
 def point_key(point: Point, variables: list[Var]) -> tuple[Fraction, ...]:

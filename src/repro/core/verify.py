@@ -23,10 +23,10 @@ from ..smt import (
     SAT,
     Formula,
     Not,
+    SmtSession,
     conj,
     disj,
     is_satisfiable,
-    lease_session,
     negate,
 )
 from ..smt.session import certified_solver
@@ -106,12 +106,6 @@ class WarmUnsatChecker:
     query to the next.  Conservative like the one-shot helpers: an
     unknown verdict (budget or round exhaustion) reports ``False`` --
     "unsatisfiability not proven" -- never an over-claim.
-
-    The session is a :func:`repro.smt.lease_session` lease: with a
-    session pool installed (the sharded driver's workers), a checker
-    over a recurring base -- the same query's ``T(p)`` across all
-    seven column subsets -- resumes a warm pooled session instead of
-    re-encoding from cold.
     """
 
     def __init__(
@@ -121,14 +115,14 @@ class WarmUnsatChecker:
         bnb_budget: int = 4000,
         float_filter: str | None = None,
     ) -> None:
-        self._lease = lease_session(
-            (base,), bnb_budget=bnb_budget, float_filter=float_filter
+        self._session = SmtSession(
+            bnb_budget=bnb_budget, float_filter=float_filter
         )
-        self._session = self._lease.session
+        self._session.assert_base(base)
 
     def close(self) -> None:
-        """Release the lease (returns the session to the pool)."""
-        self._lease.release()
+        """Close the warm session."""
+        self._session.close()
 
     def proves_unsat(
         self, extra: Formula, *, bnb_budget: int | None = None

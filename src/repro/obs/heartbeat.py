@@ -1,6 +1,6 @@
 """Worker heartbeats: periodic beacons over a lossy side channel.
 
-The sharded bench driver (:mod:`repro.bench.parallel`) runs paper-scale
+The bench pool driver (:mod:`repro.bench.parallel`) runs paper-scale
 workloads for minutes with nothing observable between dispatch and the
 final merge.  This module adds a *telemetry* plane next to the result
 plane -- strictly lossy, never blocking, and invisible when off:
@@ -38,10 +38,9 @@ Beacon wire format (one JSON object per line in ``heartbeats.jsonl``)::
      "cells_done": 12, "deadline_ms": 4000.0,
      "counters": {"checks": 118, "pivots": 904}}
 
-The parent also writes ``driver`` lines (queue depths, steals,
-requeues, running cell-time percentiles), ``silence`` lines (one per
-newly-flagged worker) and a final ``end`` line; ``repro top`` renders
-all of them.
+The parent also writes ``driver`` lines (progress and queue depth),
+``silence`` lines (one per newly-flagged worker) and a final ``end``
+line; ``repro top`` renders all of them.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ class BeaconChannel:
     """Non-blocking, lossy wrapper around a (process or thread) queue.
 
     The wrapped queue only needs ``put_nowait``/``get_nowait``; both a
-    ``multiprocessing`` queue (sharded driver) and ``queue.Queue``
+    ``multiprocessing`` queue (pool driver) and ``queue.Queue``
     (inline driver, tests) qualify.  ``post()`` never blocks: a full
     queue drops the beacon and counts the drop, because telemetry must
     never hold up synthesis.

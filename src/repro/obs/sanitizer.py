@@ -32,7 +32,7 @@ shows *when* the cross-process write happened.
 Activation: ``repro bench --parallel N --sanitize`` installs the
 sanitizer in the parent and exports :data:`SANITIZE_ENV` so spawned
 workers self-install at entry (:func:`maybe_install_sanitizer` in
-``repro.bench.parallel._worker_main``).  Workers ship their drained
+the pool initializer ``repro.bench.parallel._init_worker``).  Workers ship their drained
 reports back with the batch deltas; :func:`summarize_reports` folds
 them into the run-level summary the CLI prints and CI gates on.
 """

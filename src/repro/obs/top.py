@@ -112,9 +112,7 @@ def render_top(state: dict) -> str:
     status = "finished" if state["ended"] else "running"
     lines.append(
         f"run {status}: {done}/{total} queries done, "
-        f"queue depth {driver.get('queue_depth', 0)}, "
-        f"steals={driver.get('steals', 0)} "
-        f"requeues={driver.get('requeues', 0)}"
+        f"queue depth {driver.get('queue_depth', 0)}"
     )
     active = sum(
         1

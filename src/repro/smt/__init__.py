@@ -64,16 +64,7 @@ from .proof import (
     TrichotomyCert,
 )
 from .qe import EliminationResult, eliminate_exists, unsat_region
-from .session import (
-    Scope,
-    SessionLease,
-    SessionPool,
-    SmtSession,
-    install_session_pool,
-    lease_session,
-    session_pool,
-    uninstall_session_pool,
-)
+from .session import Scope, SmtSession
 from .simplex import DeltaRational, Simplex, TheoryConflict
 from .solver import (
     SAT,
@@ -122,13 +113,7 @@ __all__ = [
     "SAT",
     "Scope",
     "Simplex",
-    "SessionLease",
-    "SessionPool",
     "SmtSession",
-    "install_session_pool",
-    "lease_session",
-    "session_pool",
-    "uninstall_session_pool",
     "SplitCert",
     "TableauBackend",
     "TrichotomyCert",

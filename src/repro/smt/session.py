@@ -35,9 +35,7 @@ over exactly the formulas under audit -- see docs/INTERNALS.md,
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .formula import (
     EQ,
@@ -61,14 +59,8 @@ from .stats import GLOBAL_COUNTERS
 
 __all__ = [
     "Scope",
-    "SessionLease",
-    "SessionPool",
     "SmtSession",
     "certified_solver",
-    "install_session_pool",
-    "lease_session",
-    "session_pool",
-    "uninstall_session_pool",
 ]
 
 
@@ -456,233 +448,3 @@ def certified_solver(
     solver.add(*formulas)
     solver.check()
     return solver
-
-
-# ----------------------------------------------------------------------
-# Session pooling: warm sessions reused *across* enumerations/queries
-# ----------------------------------------------------------------------
-#: Leases served per idle pooled session before the LRU evicts it.
-_POOL_CAPACITY = 16
-
-
-class SessionPool:
-    """Keyed LRU cache of warm, idle :class:`SmtSession` instances.
-
-    The session lifecycle work (PR 3) amortizes solver construction
-    *within* one enumeration; every ``Sampler.sample`` call and every
-    synthesized query still built its sessions from cold (the
-    ``sessions_created == scopes_opened`` artifact in the cold-path
-    bench rows).  The pool closes that gap: sessions are keyed by
-    ``(base formulas, bnb_budget, float_filter)`` -- base formulas are
-    hash-consed, so the *same* predicate produces the *same* key -- and
-    an idle session whose key recurs is handed back warm, learned
-    clauses, saved phases and bound chains intact.
-
-    The pool holds only **idle** sessions; a checked-out session is
-    exclusively owned by its :class:`SessionLease` until released.
-    Capacity-bounded LRU: the least-recently-released session is closed
-    and dropped when the pool overflows.
-
-    Determinism: a pooled hit resumes warm CDCL state, so the solver
-    may enumerate models in a different order than a fresh session
-    would.  Pools are therefore **opt-in** (installed per worker
-    process by the parallel driver, or explicitly via
-    :func:`session_pool`); with the same pool lifecycle and the same
-    lease order, runs are bit-reproducible -- the parallel driver's
-    query-granular tasks keep each query's cells in canonical order on
-    one worker for exactly this reason.
-    """
-
-    def __init__(self, capacity: int = _POOL_CAPACITY) -> None:
-        self._capacity = max(capacity, 1)
-        self._idle: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._idle)
-
-    def acquire(
-        self, key: tuple, factory: Callable[[], SmtSession]
-    ) -> SmtSession:
-        """A warm session for ``key``, or a fresh one from ``factory``."""
-        session = self._idle.pop(key, None)
-        if session is not None:
-            self.hits += 1
-            GLOBAL_COUNTERS.sessions_reused += 1
-            return session
-        self.misses += 1
-        return factory()
-
-    def release(self, key: tuple, session: SmtSession) -> None:
-        """Return an idle session (lease scopes already retracted)."""
-        if key in self._idle:
-            # A sibling lease for the same key released first; keep the
-            # resident session (it has served more checks) and retire
-            # the duplicate.
-            session.close()
-            return
-        self._idle[key] = session
-        while len(self._idle) > self._capacity:
-            _, evicted = self._idle.popitem(last=False)
-            evicted.close()
-            self.evictions += 1
-
-    def close(self) -> None:
-        """Close and drop every idle session."""
-        for session in self._idle.values():
-            session.close()
-        self._idle.clear()
-
-    def stats(self) -> dict:
-        """Pure-JSON pool effectiveness summary."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "idle": len(self._idle),
-        }
-
-
-class SessionLease:
-    """A session checked out for one enumeration or verification.
-
-    The lease is the compatibility shim that makes pooling sound:
-    enumerators historically assert blocking clauses with
-    :meth:`SmtSession.assert_base` (permanent), which would poison a
-    reused session -- earlier blocked points would silently constrain
-    later enumerations over the same base.  A *pooled* lease therefore
-    routes :meth:`add` through one retractable work scope, and
-    :meth:`release` retracts it (plus any scopes pushed through the
-    lease) before handing the session back.  An *unpooled* lease
-    degrades to the historical behavior: permanent assertions on a
-    private session, closed on release.
-    """
-
-    __slots__ = ("session", "_pool", "_key", "_work", "_scopes", "_released")
-
-    def __init__(
-        self,
-        session: SmtSession,
-        pool: SessionPool | None,
-        key: tuple,
-    ) -> None:
-        self.session = session
-        self._pool = pool
-        self._key = key
-        self._work = (
-            session.push(label="lease-work") if pool is not None else None
-        )
-        self._scopes: list[Scope] = []
-        self._released = False
-
-    def add(self, *formulas: Formula) -> None:
-        """Assert formulas for the lifetime of this lease."""
-        if self._work is not None:
-            self._work.add(*formulas)
-        else:
-            self.session.assert_base(*formulas)
-
-    def push(self, *formulas: Formula, label: str = "") -> Scope:
-        """Open a scope that is retracted automatically on release."""
-        scope = self.session.push(*formulas, label=label)
-        self._scopes.append(scope)
-        return scope
-
-    def check(
-        self,
-        assumptions: list[Formula] | None = None,
-        *,
-        disable: Iterable[Scope] = (),
-        bnb_budget: int | None = None,
-    ) -> str:
-        return self.session.check(
-            assumptions, disable=disable, bnb_budget=bnb_budget
-        )
-
-    def model(self) -> Model:
-        # sia: allow(SIA008) -- pure delegator; the check/model pairing
-        # is the caller's (and SmtSession.model's own guard) to hold.
-        return self.session.model()
-
-    def release(self) -> None:
-        """Retract lease state and return/close the session.  Idempotent."""
-        if self._released:
-            return
-        self._released = True
-        for scope in self._scopes:
-            scope.retract()
-        self._scopes.clear()
-        if self._work is not None:
-            self._work.retract()
-        if self._pool is not None:
-            self._pool.release(self._key, self.session)
-        else:
-            self.session.close()
-
-
-#: The installed pool, if any.  Per process: spawn workers install
-#: their own in their worker main, so pooled sessions never cross a
-#: process boundary.
-_ACTIVE_POOL: SessionPool | None = None
-
-
-def install_session_pool(pool: SessionPool | None = None) -> SessionPool:
-    """Install ``pool`` (or a fresh one) as the process's active pool.
-
-    Replaces any previously installed pool (closing its idle
-    sessions); leases already checked out from the old pool release
-    back into it harmlessly -- it just never hands sessions out again.
-    """
-    global _ACTIVE_POOL
-    if _ACTIVE_POOL is not None:
-        _ACTIVE_POOL.close()
-    _ACTIVE_POOL = pool if pool is not None else SessionPool()
-    return _ACTIVE_POOL
-
-
-def uninstall_session_pool() -> None:
-    """Close and remove the active pool (no-op when none installed)."""
-    global _ACTIVE_POOL
-    pool, _ACTIVE_POOL = _ACTIVE_POOL, None
-    if pool is not None:
-        pool.close()
-
-
-@contextmanager
-def session_pool(capacity: int = _POOL_CAPACITY) -> Iterator[SessionPool]:
-    """Context-managed :func:`install_session_pool`."""
-    pool = install_session_pool(SessionPool(capacity))
-    try:
-        yield pool
-    finally:
-        uninstall_session_pool()
-
-
-def lease_session(
-    base: Iterable[Formula],
-    *,
-    bnb_budget: int = 4000,
-    float_filter: str | None = None,
-) -> SessionLease:
-    """Check out a session with ``base`` asserted permanently.
-
-    With a pool installed (see :func:`install_session_pool`) the lease
-    reuses an idle warm session whose ``(base, bnb_budget,
-    float_filter)`` key matches -- base formulas are interned, so
-    structural equality is identity here.  Without a pool this is
-    exactly the historical fresh-session path.
-    """
-    base = tuple(base)
-    pool = _ACTIVE_POOL
-    key = (base, bnb_budget, float_filter)
-
-    def factory() -> SmtSession:
-        session = SmtSession(bnb_budget=bnb_budget, float_filter=float_filter)
-        session.assert_base(*base)
-        return session
-
-    if pool is None:
-        return SessionLease(factory(), None, key)
-    return SessionLease(pool.acquire(key, factory), pool, key)

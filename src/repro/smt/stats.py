@@ -15,11 +15,9 @@ parallel workload driver snapshot around their workloads:
 * ``sessions_created`` / ``session_checks`` -- :class:`SmtSession`
   instances and the checks they served (``session_checks /
   sessions_created`` is the session-reuse factor),
-* ``sessions_reused`` -- session-pool hits
-  (:class:`~repro.smt.session.SessionPool`): a lease request served by
-  a warm pooled session instead of constructing a fresh one, so
-  ``sessions_reused / (sessions_created + sessions_reused)`` is the
-  pool hit rate,
+* ``sessions_reused`` -- always 0: every enumeration and verifier
+  builds its own session.  The field stays because the end-to-end
+  benchmark (``benchmarks/e2e``) reads it for ``smt.sessions_reused``,
 * ``scopes_opened`` / ``scopes_retracted`` -- activation-literal
   scopes pushed and retired,
 * ``proof_fallbacks`` -- checks that had to leave the warm session
@@ -78,7 +76,7 @@ class SolverCounters:
     restarts: int = 0
     pivots: int = 0
     sessions_created: int = 0
-    sessions_reused: int = 0
+    sessions_reused: int = 0  # never incremented; see module docstring
     session_checks: int = 0
     scopes_opened: int = 0
     scopes_retracted: int = 0

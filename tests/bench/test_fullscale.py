@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
+from repro.bench import parallel
 from repro.bench.fullscale import main, run, summarize
+from repro.bench.harness import EfficacyRecord
+from repro.bench.parallel import TelemetryConfig
 
 
 def test_run_and_summarize(tmp_path, capsys):
@@ -39,9 +44,9 @@ def test_checkpoint_is_valid_jsonl(tmp_path):
 
 
 def test_parallel_run_extends_same_checkpoint(tmp_path):
-    """The sharded driver writes the same cells as the sequential
-    runner (wall-clock fields aside) and resumes against the same
-    file interchangeably."""
+    """A pool run writes the same cells as the in-process runner
+    (wall-clock fields aside) and resumes against the same file
+    interchangeably."""
     seq_out = tmp_path / "seq.jsonl"
     par_out = tmp_path / "par.jsonl"
     run(queries=1, seed=5, out_path=seq_out, techniques=("TC",))
@@ -52,7 +57,7 @@ def test_parallel_run_extends_same_checkpoint(tmp_path):
     )
     assert new == 7
     assert stats["workers"] == 2
-    assert stats["requeues"] == 0
+    assert stats["restarts"] == 0
 
     def comparable(line):
         payload = json.loads(line)
@@ -73,3 +78,44 @@ def test_main_summarize_mode(tmp_path, capsys):
     code = main(["--summarize", str(out)])
     assert code == 0
     assert "Table 2" in capsys.readouterr().out
+
+
+def _stub_sia(calls, fail_on=None):
+    """A cheap stand-in for one SIA cell that fails on one query."""
+
+    def stub(wq, subset, technique, *, deadline_ms=None):
+        calls.append(wq.index)
+        if wq.index == fail_on:
+            raise RuntimeError(f"query {wq.index} failed")
+        return EfficacyRecord(
+            query_index=wq.index,
+            subset=tuple(col.name for col in subset),
+            n_cols=len(subset),
+            technique=technique,
+            possible=False,
+            valid=False,
+            optimal=False,
+        )
+
+    return stub
+
+
+def test_failed_run_keeps_finished_cells(tmp_path, monkeypatch):
+    """Cells are checkpointed as they finish, not when the run returns:
+    a telemetry run whose second query fails keeps the first query's
+    cells, and a rerun computes only the rest."""
+    out = tmp_path / "cells.jsonl"
+    telemetry = TelemetryConfig(directory=tmp_path / "tele", heartbeat_ms=50.0)
+    calls: list[int] = []
+    monkeypatch.setattr(parallel, "_run_sia_variant", _stub_sia(calls, fail_on=1))
+    with pytest.raises(RuntimeError, match="query 1 failed"):
+        run(queries=2, seed=5, out_path=out, techniques=("TC", "SIA"),
+            telemetry=telemetry)
+    cells = [json.loads(line) for line in out.read_text().splitlines()]
+    assert sum(1 for cell in cells if cell["query_index"] == 0) == 14
+    assert len(cells) == 15  # plus query 1's first TC cell
+
+    calls.clear()
+    monkeypatch.setattr(parallel, "_run_sia_variant", _stub_sia(calls))
+    assert run(queries=2, seed=5, out_path=out, techniques=("TC", "SIA")) == 13
+    assert calls == [1] * 7

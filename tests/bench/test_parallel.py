@@ -1,26 +1,49 @@
-"""Parallel workload driver: the fan-out must be invisible in the
-results -- same records in the same order as a single-process run,
-solver counters aggregated across workers, and no shared mutable state
-(the parent's rewrite cache never sees worker-side traffic)."""
+"""Efficacy driver: the process pool must be invisible in the results
+-- same records in the same order as an in-process run, solver
+counters aggregated across workers, and no shared mutable state (the
+parent's rewrite cache never sees worker-side traffic)."""
 
-import dataclasses
+import json
+from concurrent.futures import Future
 
 import pytest
 
+from repro.bench import harness, parallel
+from repro.bench.fullscale import run as fullscale_run
+from repro.bench.harness import record_to_json
 from repro.bench.parallel import (
+    CRASH_ENV,
     ParallelRunResult,
     default_workers,
     parallel_efficacy_records,
 )
+from repro.bench.schedule import expected_costs
 from repro.core import SiaConfig
 from repro.rewrite import RewriteCache
 from repro.sql import parse_query
-from repro.tpch import TPCH_SCHEMA
+from repro.tpch import TPCH_SCHEMA, generate_workload
 
 # TC (transitive closure) is solver-free per cell and runs in
 # milliseconds; the SIA variants take minutes per query and belong to
 # the benchmark proper, not the test suite.
 FAST = dict(num_queries=2, seed=9, techniques=("TC",))
+
+# A slice whose SIA cells learn real predicates (1-D optimal, 2-D at the
+# iteration cap) in about ten seconds without a deadline: parity must
+# hold for solver-backed cells, not only for solver-free TC.
+PARITY = dict(num_queries=1, seed=4, techniques=("SIA", "TC"))
+
+
+def _cell(payload):
+    """A checkpoint cell minus its wall-clock fields."""
+    return {k: v for k, v in payload.items() if not k.endswith("_ms")}
+
+
+def _cells(records):
+    """Everything about the records that must not depend on where or
+    how they ran, the learned predicate's SQL included, as checkpoint
+    lines would hold it."""
+    return [_cell(json.loads(json.dumps(record_to_json(r)))) for r in records]
 
 
 @pytest.fixture(scope="module")
@@ -41,23 +64,27 @@ def test_sequential_run_shape(sequential):
     assert indices == sorted(indices)
 
 
-def test_parallel_merge_matches_sequential_order(sequential):
-    parallel = parallel_efficacy_records(workers=2, **FAST)
-    assert parallel.workers == 2
-    assert len(parallel.records) == len(sequential.records)
+def test_parallel_merge_matches_sequential_order(tmp_path, monkeypatch):
+    """One loop, one answer: ``efficacy_records``, the fullscale
+    checkpoint and the driver at 1 and 2 workers produce identical
+    cells, SIA predicates included."""
+    monkeypatch.delenv("REPRO_BENCH_PARALLEL", raising=False)
+    monkeypatch.setattr(harness, "_EFFICACY_CACHE", {})
+    expected = _cells(harness.efficacy_records(**PARITY))
+    assert any(c["technique"] == "SIA" and c["predicate"] for c in expected)
 
-    def comparable(record):
-        # Wall-clock fields vary run to run; everything else (which
-        # predicates were learned, on which cells, in which order) must
-        # be bit-identical to the single-process run.
-        return {
-            key: value
-            for key, value in dataclasses.asdict(record).items()
-            if not key.endswith("_ms")
-        }
+    out = tmp_path / "cells.jsonl"
+    fullscale_run(
+        PARITY["num_queries"], PARITY["seed"], out,
+        techniques=PARITY["techniques"],
+    )
+    checkpoint = [_cell(json.loads(line)) for line in out.read_text().splitlines()]
+    assert checkpoint == expected
 
-    for seq, par in zip(sequential.records, parallel.records):
-        assert comparable(seq) == comparable(par)
+    for workers in (1, 2):
+        result = parallel_efficacy_records(workers=workers, **PARITY)
+        assert result.workers == workers
+        assert _cells(result.records) == expected
 
 
 def test_counters_are_aggregated(sequential):
@@ -84,15 +111,13 @@ def _structural(metrics):
 def test_metrics_merge_deterministically_across_worker_counts(sequential):
     """Per-worker metric deltas, merged by ascending query index, give
     the same aggregate structure for any worker count."""
-    import json
-
-    parallel = parallel_efficacy_records(workers=2, **FAST)
-    assert _structural(parallel.metrics) == _structural(sequential.metrics)
+    pooled = parallel_efficacy_records(workers=2, **FAST)
+    assert _structural(pooled.metrics) == _structural(sequential.metrics)
     # Content sanity: every query batch timed itself and counted cells.
-    assert parallel.metrics["counters"]["bench.cells"] == len(parallel.records)
-    assert parallel.metrics["timers"]["bench.query_ms"]["count"] == FAST["num_queries"]
+    assert pooled.metrics["counters"]["bench.cells"] == len(pooled.records)
+    assert pooled.metrics["timers"]["bench.query_ms"]["count"] == FAST["num_queries"]
     # The merged delta crosses a process boundary: must be pure JSON.
-    assert json.loads(json.dumps(parallel.metrics)) == parallel.metrics
+    assert json.loads(json.dumps(pooled.metrics)) == pooled.metrics
 
 
 def test_parent_metrics_registry_is_isolated_from_workers():
@@ -111,41 +136,42 @@ def test_parent_metrics_registry_is_isolated_from_workers():
 def test_pool_stats_shape(sequential):
     pool = sequential.pool
     assert pool["workers"] == 1
-    assert pool["steals"] == 0 and pool["requeues"] == 0
-    assert pool["worker_restarts"] == 0
+    assert pool["restarts"] == 0
     assert 0.0 <= pool["utilization"] <= 1.0
-    assert {"p50", "p95", "max"} <= set(pool["queue_wait_ms"])
+    assert pool["busy_ms"] <= pool["wall_ms"]
 
 
-def test_session_pool_is_active_in_driver(sequential):
-    """The inline path installs the same worker-lifetime session pool
-    as sharded workers; its reuse shows up in the aggregated counters
-    whenever sessions are created at all (TC itself is solver-free)."""
-    created = sequential.counters.get("sessions_created", 0)
-    reused = sequential.counters.get("sessions_reused", 0)
-    assert created >= 0 and reused >= 0  # counters ship either way
-
-
-def test_killed_worker_requeues_query_exactly_once(sequential, monkeypatch):
-    """A worker dying mid-cell must not lose or duplicate the query:
-    the attempt ledger requeues it once, a fresh worker reruns it, and
-    the merged records are identical to the sequential run."""
+def test_killed_worker_requeues_query_exactly_once(
+    sequential, tmp_path, monkeypatch
+):
+    """A worker death restarts the pool once for the queries without
+    results: one crash leaves the records identical to a clean run; a
+    query that crashes every pool raises, naming it, and never turns
+    into placeholder cells in the records or the checkpoint."""
     crash_index = sequential.records[0].query_index
-    monkeypatch.setenv("REPRO_BENCH_CRASH_QUERY", str(crash_index))
+    monkeypatch.setenv(CRASH_ENV, str(crash_index))
     result = parallel_efficacy_records(workers=2, **FAST)
-    assert result.pool["requeues"] == 1
-    assert result.pool["worker_restarts"] >= 1
-    assert len(result.records) == len(sequential.records)
+    assert result.pool["restarts"] == 1
+    assert _cells(result.records) == _cells(sequential.records)
 
-    def comparable(record):
-        return {
-            key: value
-            for key, value in dataclasses.asdict(record).items()
-            if not key.endswith("_ms")
-        }
+    monkeypatch.setenv(CRASH_ENV, f"{crash_index}:2")
+    named = rf"queries \[[^\]]*\b{crash_index}\b[^\]]*\] have no results"
+    with pytest.raises(RuntimeError, match=named):
+        parallel_efficacy_records(workers=2, **FAST)
 
-    for seq, par in zip(sequential.records, result.records):
-        assert comparable(seq) == comparable(par)
+    out = tmp_path / "cells.jsonl"
+    with pytest.raises(RuntimeError, match=named):
+        fullscale_run(
+            FAST["num_queries"], FAST["seed"], out,
+            techniques=FAST["techniques"], workers=2,
+        )
+    written = [_cell(json.loads(line)) for line in out.read_text().splitlines()]
+    survivors = [
+        cell
+        for cell in _cells(sequential.records)
+        if cell["query_index"] != crash_index
+    ]
+    assert written in ([], survivors)
 
 
 def test_deadline_expiry_records_partial_result():
@@ -167,28 +193,60 @@ def test_deadline_expiry_records_partial_result():
     assert result.pool["deadline_ms"] == 1.0
 
 
-def test_work_stealing_preserves_merge_order():
-    """An uneven shard split (3 queries, 2 workers) lets the idle
-    worker steal; the merged stream must stay query-ordered anyway."""
+def test_uneven_pool_preserves_merge_order():
+    """More queries than workers (3 on 2): results arrive in completion
+    order, the merge stays query-ordered."""
     uneven = dict(num_queries=3, seed=9, techniques=("TC",))
     seq = parallel_efficacy_records(workers=1, **uneven)
     par = parallel_efficacy_records(workers=2, **uneven)
-    assert [r.query_index for r in par.records] == [
-        r.query_index for r in seq.records
-    ]
-    assert par.pool["steals"] >= 0  # recorded either way
-    assert par.pool["requeues"] == 0
+    assert _cells(par.records) == _cells(seq.records)
+    assert par.pool["restarts"] == 0
+
+
+def test_pool_submits_longest_expected_first(monkeypatch):
+    """The pool receives queries in descending expected cost (ties by
+    position), which is the order free workers take them in."""
+    queries = generate_workload(6, seed=11)
+    costs = expected_costs(queries)
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, **kwargs):
+            pass
+
+        def submit(self, fn, wq, *args):
+            submitted.append(wq.index)
+            future = Future()
+            future.set_result(
+                parallel._Batch(
+                    index=wq.index, records=[], counters={}, metrics={},
+                    ledger=[], busy_ms=0.0,
+                )
+            )
+            return future
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    parallel_efficacy_records(
+        num_queries=6, seed=11, techniques=("TC",), workers=2
+    )
+    ranked = sorted(range(len(queries)), key=lambda pos: (-costs[pos], pos))
+    assert submitted == [queries[pos].index for pos in ranked]
+    assert len(set(costs)) > 1  # the order is not the identity by accident
 
 
 def test_worker_env_parity(monkeypatch):
     """Propagated knobs cross the process boundary through the explicit
-    initializer: every worker reports exactly the parent's values."""
+    initializer: every worker that ran a query reports exactly the
+    parent's values."""
     from repro.smt.backend import FLOAT_MODE_ENV
 
     monkeypatch.setenv(FLOAT_MODE_ENV, "off")
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     result = parallel_efficacy_records(workers=2, **FAST)
-    assert len(result.worker_env) == 2
+    assert 1 <= len(result.worker_env) <= 2
     for snapshot in result.worker_env.values():
         assert snapshot[FLOAT_MODE_ENV] == "off"
         assert snapshot["REPRO_SANITIZE"] is None

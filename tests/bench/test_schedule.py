@@ -1,16 +1,12 @@
-"""Cost model + LPT shard assignment for the sharded driver.
+"""Cost model behind the pool's longest-first submission order.
 
 Scheduling is a heuristic -- correctness never depends on it -- so the
-tests pin what the driver *does* rely on: every query lands in exactly
-one shard, assignment is deterministic, and the within-shard order is
-descending expected cost (the steal-from-tail policy assumes it).
+tests pin what the driver *does* rely on: one positive, deterministic
+cost per query (the submission order itself is pinned in
+``test_parallel.py``).
 """
 
-from repro.bench.schedule import (
-    assign_shards,
-    expected_costs,
-    synthetic_lineitem_stats,
-)
+from repro.bench.schedule import expected_costs, synthetic_lineitem_stats
 from repro.tpch import LINEITEM_DATES, generate_workload
 
 
@@ -27,32 +23,3 @@ def test_expected_costs_are_positive_and_deterministic():
     assert len(costs) == 6
     assert all(cost > 0 for cost in costs)
     assert costs == expected_costs(queries)
-
-
-def test_assign_shards_partitions_exactly():
-    queries = generate_workload(9, seed=3)
-    costs = expected_costs(queries)
-    shards = assign_shards(costs, 3)
-    assert len(shards) == 3
-    flat = sorted(pos for shard in shards for pos in shard)
-    assert flat == list(range(len(costs)))
-
-
-def test_shard_order_is_descending_cost():
-    queries = generate_workload(8, seed=7)
-    costs = expected_costs(queries)
-    for shard in assign_shards(costs, 2):
-        shard_costs = [costs[pos] for pos in shard]
-        assert shard_costs == sorted(shard_costs, reverse=True)
-
-
-def test_more_workers_than_queries_leaves_empty_shards():
-    shards = assign_shards([5.0, 1.0], 4)
-    assert sum(1 for shard in shards if shard) == 2
-    assert sorted(pos for shard in shards for pos in shard) == [0, 1]
-
-
-def test_single_worker_gets_everything_longest_first():
-    costs = [1.0, 9.0, 4.0]
-    (shard,) = assign_shards(costs, 1)
-    assert shard == [1, 2, 0]
