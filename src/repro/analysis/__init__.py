@@ -17,7 +17,6 @@ CLI: ``python -m repro analyze [--json] [--fix-hints] [--certify]
 """
 
 from .certify import audit_proof
-from .concurrency import concurrency_paths
 from .findings import Finding, RULE_CATALOG, RuleInfo
 from .invariants import check_formula, check_pred
 from .lint import lint_file, lint_paths, lint_source, zone_of
@@ -51,7 +50,6 @@ __all__ = [
     "check_pred",
     "check_registry",
     "check_rule",
-    "concurrency_paths",
     "extract_pragmas",
     "lint_file",
     "lint_paths",

@@ -6,7 +6,7 @@ part of the tool's public contract: CI annotations, pragma suppressions
 and the fixture tests all key on them, so they must never be renumbered
 -- retire an identifier rather than reuse it.
 
-The catalog is split in three bands:
+The catalog is split in bands:
 
 * ``SIA0xx`` -- codebase lint rules (AST-level, :mod:`repro.analysis.lint`),
 * ``SIA1xx`` -- structural invariants of live IR trees
@@ -17,10 +17,10 @@ The catalog is split in three bands:
   checking proof logs (:mod:`repro.analysis.certify`),
 * ``SIA4xx`` -- interprocedural dataflow findings
   (:mod:`repro.analysis.flow`): facts that require following paths
-  through the CFG and calls across modules,
-* ``SIA5xx`` -- concurrency-safety findings
-  (:mod:`repro.analysis.concurrency`): shared-state escape, fork
-  inheritance, lock discipline and the snapshot/delta protocol.
+  through the CFG and calls across modules.
+
+The ``SIA5xx`` band (a whole-program concurrency analyzer) is retired;
+its identifiers are not reused.
 """
 
 from __future__ import annotations
@@ -182,36 +182,6 @@ RULE_CATALOG: dict[str, RuleInfo] = {
             "an SmtSession scope, tracer or file handle leaks on some "
             "normal or exceptional path; use 'try/finally: retract()/"
             "close()' or a with-block",
-        ),
-        RuleInfo(
-            "SIA501",
-            "unsynchronized shared-state write on a worker-reachable path",
-            "a function reachable from a pool/thread entry point writes "
-            "module-level mutable state; guard it with a lock, make the "
-            "registry delta-capable (snapshot/delta_since), or keep the "
-            "state worker-local",
-        ),
-        RuleInfo(
-            "SIA502",
-            "fork-inheritance or pickling hazard at a pool boundary",
-            "pass an explicit mp_context (spawn) to ProcessPoolExecutor, "
-            "never mutate shared registries while a pool is live, and "
-            "dispatch only top-level functions with picklable payloads",
-        ),
-        RuleInfo(
-            "SIA503",
-            "read-modify-write on a shared registry outside a lock",
-            "wrap the get-or-create / += in 'with <module lock>:'; the "
-            "unlocked fast-path read may stay outside (double-checked "
-            "locking), only the store needs the lock",
-        ),
-        RuleInfo(
-            "SIA504",
-            "cross-process registry access bypasses the snapshot/delta "
-            "protocol",
-            "aggregation code must use snapshot()/delta_since()/"
-            "merge_delta(); raw field reads mix parent-local warmth into "
-            "worker totals",
         ),
     )
 }

@@ -1,6 +1,6 @@
 """Orchestration of the analysis passes and report rendering.
 
-``run_analysis`` composes the three passes:
+``run_analysis`` composes these passes:
 
 1. the AST lint pass over the given paths (:mod:`repro.analysis.lint`),
 2. the structural invariant pass over every registered rewrite rule's
@@ -8,8 +8,8 @@
    (:mod:`repro.analysis.invariants`),
 3. the null-soundness pass discharging each rule's obligation through
    the SMT solver (:mod:`repro.analysis.soundness`),
-4. (opt-in, ``concurrency=True``) the shared-state/fork-safety pass
-   (:mod:`repro.analysis.concurrency`),
+4. (opt-in, ``flow=True``) the interprocedural dataflow passes
+   (:mod:`repro.analysis.flow`),
 5. (opt-in, ``certify=True``) the proof-certification pass: every
    registry obligation is re-run with ``Solver(proof=True)`` and the
    resulting proof log is replayed by the independent auditor
@@ -48,7 +48,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     files_linted: int = 0
     files_flowed: int = 0
-    files_concurrency: int = 0
     rules_checked: int = 0
     obligations_discharged: int = 0
     proofs_audited: int = 0
@@ -71,7 +70,6 @@ class AnalysisReport:
             "summary": {
                 "files_linted": self.files_linted,
                 "files_flowed": self.files_flowed,
-                "files_concurrency": self.files_concurrency,
                 "rules_checked": self.rules_checked,
                 "obligations_discharged": self.obligations_discharged,
                 "proofs_audited": self.proofs_audited,
@@ -87,25 +85,22 @@ def run_analysis(
     *,
     lint: bool = True,
     flow: bool = False,
-    concurrency: bool = False,
     domain: bool = True,
     certify: bool = False,
 ) -> AnalysisReport:
     """Run the configured passes and return the aggregated report.
 
-    ``paths`` feeds the lint, flow and concurrency passes (default:
-    ``src``).  ``flow=True`` additionally runs the interprocedural
-    dataflow analyses (SIA401 float taint, SIA402 determinism, SIA403
-    resource lifecycle) over the same file set.  ``concurrency=True``
-    runs the shared-state/fork-safety analyses (SIA501-504) over it.
-    The domain passes (invariants + soundness over the rewrite-rule
-    registry) are path-independent; disable them with ``domain=False``
-    when linting fixture trees.  ``certify=True`` additionally re-runs
+    ``paths`` feeds the lint and flow passes (default: ``src``).
+    ``flow=True`` additionally runs the interprocedural dataflow
+    analyses (SIA401 float taint, SIA402 determinism, SIA403 resource
+    lifecycle) over the same file set.  The domain passes (invariants +
+    soundness over the rewrite-rule registry) are path-independent;
+    disable them with ``domain=False`` when linting fixture trees.  ``certify=True`` additionally re-runs
     every registry obligation with proof logging on and audits the
     logs.
     """
     report = AnalysisReport()
-    if lint or flow or concurrency:
+    if lint or flow:
         resolved: list[Path] = []
         for raw in paths or ["src"]:
             path = Path(raw)
@@ -122,12 +117,6 @@ def run_analysis(
         findings, files = flow_paths(resolved)
         report.findings.extend(findings)
         report.files_flowed = files
-    if concurrency:
-        from .concurrency import concurrency_paths
-
-        findings, files = concurrency_paths(resolved)
-        report.findings.extend(findings)
-        report.files_concurrency = files
     if domain:
         soundness = check_registry()
         report.findings.extend(soundness.findings)
@@ -199,11 +188,6 @@ def render_text(report: AnalysisReport, *, fix_hints: bool = False) -> str:
         + (
             f"flow-analyzed {report.files_flowed} file(s), "
             if report.files_flowed
-            else ""
-        )
-        + (
-            f"concurrency-analyzed {report.files_concurrency} file(s), "
-            if report.files_concurrency
             else ""
         )
         + f"verified {report.rules_checked} rewrite rule(s) "

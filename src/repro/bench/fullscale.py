@@ -43,7 +43,6 @@ def run(
     *,
     workers: int = 1,
     deadline_ms: float | None = None,
-    sanitize: bool = False,
     stats: dict | None = None,
     telemetry=None,
 ) -> int:
@@ -90,7 +89,6 @@ def run(
             seed=seed,
             techniques=tuple(techniques),
             workers=workers,
-            sanitize=sanitize,
             deadline_ms=deadline_ms,
             telemetry=telemetry,
             skip=frozenset(done),
@@ -100,8 +98,6 @@ def run(
         stats.update(result.pool)
         stats["counters"] = result.counters
         stats["metrics"] = result.metrics
-        if result.sanitizer is not None:
-            stats["sanitizer"] = result.sanitizer
     return new_cells
 
 

@@ -31,10 +31,10 @@ ship their records with ``predicate`` rendered to ``predicate_sql``
 their :data:`~repro.smt.stats.GLOBAL_COUNTERS` and
 :data:`~repro.obs.metrics.GLOBAL_METRICS` deltas.
 
-Environment knobs (``SIA_FLOAT_FILTER``, ``REPRO_SANITIZE``) cross the
-process boundary through the pool's explicit initializer -- never
-through start-method inheritance -- and every task reports the
-environment its worker applied so tests can assert parity.
+Environment knobs (``SIA_FLOAT_FILTER``) cross the process boundary
+through the pool's explicit initializer -- never through start-method
+inheritance -- and every task reports the environment its worker
+applied so tests can assert parity.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ from ..obs.heartbeat import (
 )
 from ..obs.ledger import RunLedger, cell_entry
 from ..obs.metrics import GLOBAL_METRICS, merge_delta
-from ..obs.sanitizer import (
-    SANITIZE_ENV,
-    install_sanitizer,
-    maybe_install_sanitizer,
-    summarize_reports,
-    uninstall_sanitizer,
-)
 from ..obs.trace import get_tracer
 from ..smt.backend import FLOAT_MODE_ENV, resolve_float_mode
 from ..smt.stats import GLOBAL_COUNTERS
@@ -91,7 +84,7 @@ CRASH_ENV = "REPRO_BENCH_CRASH_QUERY"
 
 #: Environment keys propagated into every worker through the explicit
 #: initializer (never via start-method inheritance alone).
-PROPAGATED_ENV = (FLOAT_MODE_ENV, SANITIZE_ENV, CRASH_ENV)
+PROPAGATED_ENV = (FLOAT_MODE_ENV, CRASH_ENV)
 
 #: Pools started per run: the first one plus one restart after a crash.
 _POOL_ATTEMPTS = 2
@@ -202,9 +195,6 @@ class ParallelRunResult:
     counters: dict[str, int] = field(default_factory=dict)
     metrics: dict[str, dict] = field(default_factory=dict)
     workers: int = 1
-    #: Run-level sanitizer summary (``--sanitize`` only): process
-    #: count, access totals per registry, recorded violations.
-    sanitizer: dict | None = None
     #: Run statistics: workers, pool restarts, busy time, utilization.
     pool: dict = field(default_factory=dict)
     #: Propagated-environment snapshot each pool worker reported
@@ -222,7 +212,6 @@ class _Batch:
     metrics: dict[str, dict]
     ledger: list[dict]
     busy_ms: float
-    sanitizer: dict | None = None
     #: (pid, applied environment) of the pool worker that ran it.
     worker: tuple[int, dict] | None = None
 
@@ -315,7 +304,6 @@ def _query_batch(
     if telemetry:
         GLOBAL_BOARD.post(phase="idle", cells_done=len(records))
     GLOBAL_METRICS.counter("bench.cells").inc(len(records))
-    sanitizer = maybe_install_sanitizer()
     return _Batch(
         index=wq.index,
         records=records,
@@ -323,7 +311,6 @@ def _query_batch(
         metrics=GLOBAL_METRICS.delta_since(metrics_before),
         ledger=ledger,
         busy_ms=(_now() - start) * 1000.0,
-        sanitizer=sanitizer.drain().to_json() if sanitizer is not None else None,
     )
 
 
@@ -333,7 +320,7 @@ def _query_batch(
 def _init_worker(
     overrides: dict[str, str], beacon_queue, heartbeat_ms: float
 ) -> None:
-    """Pool initializer: environment, sanitizer and heartbeat emitter.
+    """Pool initializer: environment and heartbeat emitter.
 
     Applies exactly the parent's snapshot: keys present in
     ``overrides`` are set, propagated keys absent from it are cleared.
@@ -350,7 +337,6 @@ def _init_worker(
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
-    maybe_install_sanitizer()
     if beacon_queue is not None:
         emitter = HeartbeatEmitter(
             os.getpid(), BeaconChannel(beacon_queue), interval_ms=heartbeat_ms
@@ -487,7 +473,6 @@ def parallel_efficacy_records(
     seed: int | None = None,
     techniques: tuple[str, ...] = TECHNIQUES,
     workers: int | None = None,
-    sanitize: bool = False,
     deadline_ms: float | None = None,
     telemetry: TelemetryConfig | None = None,
     skip: frozenset[CellKey] = frozenset(),
@@ -508,10 +493,6 @@ def parallel_efficacy_records(
     ``on_cell`` receives each record as soon as the calling process
     has it: per cell in-process, per finished query from a pool.
 
-    ``sanitize=True`` installs the shared-state sanitizer in this
-    process, exports its environment flag so every worker installs it
-    too, and attaches the folded access report as ``.sanitizer``.
-
     ``telemetry`` (a :class:`TelemetryConfig`) turns on the heartbeat
     plane and the run ledger: workers beat into
     ``<dir>/heartbeats.jsonl`` and every cell lands in
@@ -522,10 +503,6 @@ def parallel_efficacy_records(
     workers = workers if workers is not None else default_workers()
     queries = generate_workload(num_queries, seed=seed)
 
-    sanitizer = None
-    if sanitize:
-        os.environ[SANITIZE_ENV] = "1"
-        sanitizer = install_sanitizer()
     recorder = emitter = None
     if telemetry is not None:
         recorder = _TelemetryRecorder(telemetry)
@@ -567,8 +544,6 @@ def parallel_efficacy_records(
                     )
                     recorder.poll()
     finally:
-        if sanitize:
-            os.environ.pop(SANITIZE_ENV, None)
         if emitter is not None:
             emitter.stop()
             GLOBAL_BOARD.reset()
@@ -589,14 +564,11 @@ def parallel_efficacy_records(
     ordered = [batches[index] for index in sorted(batches)]
     counters: dict[str, int] = {}
     metrics: dict[str, dict] = {}
-    reports: list[dict] = []
     worker_env: dict[int, dict] = {}
     for batch in ordered:
         for name, value in batch.counters.items():
             counters[name] = counters.get(name, 0) + value
         merge_delta(metrics, batch.metrics)
-        if batch.sanitizer is not None:
-            reports.append(batch.sanitizer)
         if batch.worker is not None:
             pid, env = batch.worker
             worker_env[pid] = env
@@ -610,7 +582,6 @@ def parallel_efficacy_records(
                 "techniques": list(techniques),
                 "workers": workers,
                 "deadline_ms": deadline_ms,
-                "sanitize": sanitize,
                 "seed": seed,
                 "queries": len(queries),
             },
@@ -618,17 +589,11 @@ def parallel_efficacy_records(
             for batch in ordered:
                 for entry in batch.ledger:
                     run_ledger.append(entry)
-    summary: dict | None = None
-    if sanitizer is not None:
-        reports.append(sanitizer.drain().to_json())
-        uninstall_sanitizer()
-        summary = summarize_reports(reports)
     return ParallelRunResult(
         records=[record for batch in ordered for record in batch.records],
         counters=counters,
         metrics=metrics,
         workers=workers,
-        sanitizer=summary,
         pool=pool_stats,
         worker_env=worker_env,
     )

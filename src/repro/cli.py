@@ -146,13 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="perf-JSON path (default: BENCH_smt_micro.json; '-' skips)",
     )
     bench.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="install the shared-state sanitizer in the parent and "
-        "every worker; prints an access report and fails on "
-        "cross-process unsynchronized writes",
-    )
-    bench.add_argument(
         "--trace",
         dest="trace_path",
         default=None,
@@ -314,13 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(SIA401 float taint, SIA402 determinism, SIA403 lifecycle)",
     )
     analyze.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="also run the shared-state/fork-safety passes "
-        "(SIA501 escape, SIA502 fork hazards, SIA503 lock discipline, "
-        "SIA504 snapshot/delta protocol)",
-    )
-    analyze.add_argument(
         "--skip-domain",
         action="store_true",
         help="lint only; skip the rewrite-rule soundness pass",
@@ -374,7 +360,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = run_analysis(
             args.paths,
             flow=args.flow,
-            concurrency=args.concurrency,
             domain=not args.skip_domain,
             certify=args.certify,
         )
@@ -439,20 +424,6 @@ def _print_pool_stats(pool: dict, metrics: dict | None = None) -> None:
             f"{len(heartbeats.get('workers', {}))} worker(s), "
             f"{heartbeats.get('silence_flags', 0)} silence flag(s)"
         )
-
-
-def _print_sanitizer(summary: dict | None) -> int:
-    """Print the sanitizer rollup; 1 when violations were recorded."""
-    if summary is None:
-        return 0
-    print(
-        f"sanitizer: {summary['accesses']} shared-state accesses across "
-        f"{summary['processes']} process(es), "
-        f"{len(summary['violations'])} violation(s)"
-    )
-    for violation in summary["violations"]:
-        print(f"  violation: {violation['message']}")
-    return 1 if summary["violations"] else 0
 
 
 def _telemetry_config(args: argparse.Namespace):
@@ -549,7 +520,6 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
         out,
         workers=workers,
         deadline_ms=args.deadline_ms,
-        sanitize=args.sanitize,
         stats=stats,
         telemetry=telemetry,
     )
@@ -589,7 +559,6 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
         if key in stats
     }
     _print_pool_stats(pool, stats.get("metrics"))
-    exit_code = _print_sanitizer(stats.get("sanitizer")) if args.sanitize else 0
     if args.json_path != "-" and times:
         entry = summarize_times(times)
         entry.update(
@@ -611,7 +580,7 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
             {"parallel/fullscale": entry}, args.json_path or DEFAULT_PATH
         )
         print(f"wrote {path}")
-    return exit_code
+    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -649,7 +618,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 num_queries=args.queries,
                 seed=args.seed,
                 workers=workers,
-                sanitize=args.sanitize,
                 deadline_ms=args.deadline_ms,
                 telemetry=telemetry,
             )
@@ -681,7 +649,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     _print_pool_stats(result.pool, result.metrics)
     _print_telemetry_paths(telemetry)
-    exit_code = _print_sanitizer(result.sanitizer) if args.sanitize else 0
     if args.trace_path:
         print(f"trace {trace_id} written to {args.trace_path}")
     if args.json_path != "-" and records:
@@ -712,7 +679,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         stamp_trace_id(entries, trace_id)
         path = update_bench_json(entries, args.json_path or DEFAULT_PATH)
         print(f"wrote {path}")
-    return exit_code
+    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -58,7 +58,7 @@ class Hyperplane:
                 expr = expr + LinExpr.var(var) * weight
         # Idempotent memo insert: interning makes both racers compute
         # the identical LinExpr, so losing one insert is harmless.
-        _LINEXPR_CACHE[self] = expr  # sia: allow(SIA503)
+        _LINEXPR_CACHE[self] = expr
         return expr
 
     def formula(self) -> Formula:

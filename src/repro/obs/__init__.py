@@ -9,9 +9,6 @@ A zero-dependency substrate the whole stack reports through:
 * :mod:`repro.obs.metrics` -- named counters/timers/histograms with
   worker-mergeable deltas, generalizing the solver's
   :data:`~repro.smt.stats.GLOBAL_COUNTERS`;
-* :mod:`repro.obs.sanitizer` -- opt-in runtime shared-state sanitizer
-  recording per-process/thread registry accesses and flagging
-  fork-inherited writes (``repro bench --sanitize``);
 * :mod:`repro.obs.replay` -- the ``repro trace`` replay: per-phase
   attribution tables and text flamegraphs from a trace file;
 * :mod:`repro.obs.heartbeat` -- worker heartbeats over a lossy side
@@ -62,15 +59,6 @@ from .metrics import (
     merge_delta,
     summarize_values,
 )
-from .sanitizer import (
-    SANITIZE_ENV,
-    Sanitizer,
-    SanitizerReport,
-    install_sanitizer,
-    maybe_install_sanitizer,
-    summarize_reports,
-    uninstall_sanitizer,
-)
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -96,9 +84,6 @@ __all__ = [
     "NullTracer",
     "RunLedger",
     "RunModel",
-    "SANITIZE_ENV",
-    "Sanitizer",
-    "SanitizerReport",
     "Span",
     "StatusBoard",
     "Timer",
@@ -107,9 +92,7 @@ __all__ = [
     "get_clock",
     "get_tracer",
     "install_file_tracer",
-    "install_sanitizer",
     "load_ledger",
-    "maybe_install_sanitizer",
     "merge_delta",
     "metrics_snapshot",
     "now",
@@ -118,9 +101,7 @@ __all__ = [
     "render_report",
     "set_clock",
     "set_tracer",
-    "summarize_reports",
     "summarize_values",
-    "uninstall_sanitizer",
 ]
 
 

@@ -25,11 +25,9 @@ plane -- strictly lossy, never blocking, and invisible when off:
   counter totals, and silence detection (a worker whose last beacon is
   older than ``silence_intervals`` heartbeat periods is flagged once).
 
-Both board and channel speak the single-producer ``post()``/``drain()``
-channel protocol the concurrency analyzer sanctions (see
-``repro.analysis.concurrency.inventory``): their writes on
-worker-reachable paths are the telemetry design, not a shared-state
-hazard, exactly like delta-capable registries under SIA501/SIA504.
+Both board and channel speak a single-producer ``post()``/``drain()``
+protocol: one thread posts and one drains, so neither takes a lock.
+Each spawn worker owns its board and its end of the channel.
 
 Beacon wire format (one JSON object per line in ``heartbeats.jsonl``)::
 

@@ -10,8 +10,8 @@ File format (version 1) -- a header line followed by cell lines::
 
     {"type": "header", "version": 1, "t": 12.3,
      "config": {"float_filter": "filter+trust-sat", "techniques": [...],
-                "workers": 2, "deadline_ms": 4000.0, "sanitize": false,
-                "seed": 42, "queries": 8}}
+                "workers": 2, "deadline_ms": 4000.0, "seed": 42,
+                "queries": 8}}
     {"type": "cell", "query": 0, "subset": ["l_shipdate"],
      "technique": "SIA", "valid": true, "optimal": true,
      "partial": false, "possible": true, "iterations": 3,

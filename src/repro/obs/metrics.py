@@ -26,7 +26,6 @@ solver arithmetic, so SIA001's exact-zone rules do not apply.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -49,12 +48,6 @@ __all__ = [
 #: workload cannot hold a million floats per timer.  Deterministic: the
 #: *first* ``_VALUE_CAP`` recordings are retained, no sampling.
 _VALUE_CAP = 8192
-
-#: Pid that imported this module.  A spawn worker re-imports and owns
-#: its registry from zero; a fork child inherits the parent's pid here
-#: while ``os.getpid()`` disagrees -- the mismatch is how the runtime
-#: sanitizer (:mod:`repro.obs.sanitizer`) detects inherited registries.
-_OWNER_PID = os.getpid()
 
 #: Guards the get-or-create of every registry in this process.  The
 #: lock-free fast path returns an existing metric; only the re-check +

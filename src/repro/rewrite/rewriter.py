@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..core import SIA_DEFAULT, SiaConfig, Synthesizer, UNSUPPORTED
 from ..core.result import SynthesisOutcome
-from ..predicates import Pred, pand, simplify_conjunction
+from ..predicates import PAnd, Pred, TRUE_PRED, pand, simplify_conjunction
 from ..sql.binder import BoundQuery, parse_query
 from ..sql.printer import render_query
 from .rules import synthesis_input, target_columns
@@ -102,10 +102,16 @@ def rewrite_query(
     combined = _merge_outcomes(outcomes, valid)
     result = RewriteResult(query, combined, target_table)
     if valid:
-        result.rewritten = dataclasses.replace(
-            query,
-            where=pand([query.where] + [o.predicate for o in valid]),
-        )
+        # Conjoin without pand's FALSE folding: an unsatisfiable learned
+        # predicate must not drop the join conditions the planner needs.
+        learned = pand([o.predicate for o in valid])
+        conjuncts = [
+            c
+            for c in (*query.where.conjuncts(), *learned.conjuncts())
+            if c is not TRUE_PRED
+        ]
+        where = pand(conjuncts) if len(conjuncts) < 2 else PAnd(tuple(conjuncts))
+        result.rewritten = dataclasses.replace(query, where=where)
     return result
 
 
@@ -113,9 +119,11 @@ def _merge_outcomes(outcomes, valid) -> SynthesisOutcome:
     """Aggregate per-subset outcomes into one result record."""
     from ..core.result import OPTIMAL, Timings, VALID
 
+    timed_out = any(o.timed_out for o in outcomes)
     if not valid:
         # Report the most informative failure.
-        return max(outcomes, key=lambda o: (o.iterations, len(o.detail)))
+        best = max(outcomes, key=lambda o: (o.iterations, len(o.detail)))
+        return dataclasses.replace(best, timed_out=timed_out)
     merged = SynthesisOutcome(
         status=OPTIMAL if all(o.is_optimal for o in valid) else VALID,
         predicate=simplify_conjunction(pand([o.predicate for o in valid])),
@@ -131,6 +139,7 @@ def _merge_outcomes(outcomes, valid) -> SynthesisOutcome:
         target_columns=tuple(
             sorted({name for o in valid for name in o.target_columns})
         ),
+        timed_out=timed_out,
     )
     return merged
 

@@ -62,7 +62,6 @@ dataclass-flat because the hot loops increment them unconditionally.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 
@@ -102,12 +101,6 @@ class SolverCounters:
         for f in fields(self):
             setattr(self, f.name, 0)
 
-
-#: Pid that imported this module.  Spawn workers re-import (fresh
-#: counters, owner == worker); fork children inherit the parent's pid
-#: here -- the runtime sanitizer (:mod:`repro.obs.sanitizer`) flags
-#: writes whenever ``os.getpid()`` disagrees with the owner.
-_OWNER_PID = os.getpid()
 
 #: The process-wide counter instance (workers report their own copy).
 GLOBAL_COUNTERS = SolverCounters()

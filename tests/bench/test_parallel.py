@@ -237,6 +237,24 @@ def test_pool_submits_longest_expected_first(monkeypatch):
     assert len(set(costs)) > 1  # the order is not the identity by accident
 
 
+def test_pool_uses_spawn_context(monkeypatch):
+    """Every pool the driver builds runs on an explicit spawn context:
+    fork would clone the parent's warm registries into the workers and
+    their reported deltas would ride on inherited state."""
+    start_methods = []
+    real_pool = parallel.ProcessPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        start_methods.append(kwargs["mp_context"].get_start_method())
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
+    result = parallel_efficacy_records(workers=2, **FAST)
+    assert result.records
+    assert start_methods
+    assert all(method == "spawn" for method in start_methods)
+
+
 def test_worker_env_parity(monkeypatch):
     """Propagated knobs cross the process boundary through the explicit
     initializer: every worker that ran a query reports exactly the
@@ -244,12 +262,11 @@ def test_worker_env_parity(monkeypatch):
     from repro.smt.backend import FLOAT_MODE_ENV
 
     monkeypatch.setenv(FLOAT_MODE_ENV, "off")
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv(CRASH_ENV, raising=False)
     result = parallel_efficacy_records(workers=2, **FAST)
     assert 1 <= len(result.worker_env) <= 2
     for snapshot in result.worker_env.values():
-        assert snapshot[FLOAT_MODE_ENV] == "off"
-        assert snapshot["REPRO_SANITIZE"] is None
+        assert snapshot == {FLOAT_MODE_ENV: "off", CRASH_ENV: None}
 
 
 def test_parent_rewrite_cache_is_isolated_from_workers():

@@ -133,3 +133,23 @@ class TestProfilesAndReport:
 
     def test_render_report_empty(self):
         assert render_report({}, []) == "ledger has no cell entries"
+
+
+def test_report_renders_ledger_with_legacy_sanitize_key(tmp_path, capsys):
+    """Ledgers written while the header still carried ``"sanitize"``
+    stay readable by ``repro report``."""
+    from repro.cli import main
+
+    path = tmp_path / "ledger.jsonl"
+    config = {"float_filter": "filter+trust-sat", "workers": 2,
+              "deadline_ms": 4000.0, "sanitize": False, "seed": 42}
+    with RunLedger(path, config) as ledger:
+        ledger.append(cell_entry(_payload(query=0, optimal=True)))
+        ledger.append(cell_entry(_payload(query=1)))
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "2 cells over 2 queries: 2 valid, 1 optimal, 0 partial" in out
+    assert main(["report", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["sanitize"] is False
+    assert [row["query"] for row in payload["profiles"]] == [0, 1]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import SiaConfig
+from repro.core import FAILED, VALID, SiaConfig, SynthesisOutcome
 from repro.engine import build_plan, execute
-from repro.predicates import Column, DATE, INTEGER
+from repro.predicates import Column, DATE, INTEGER, TRUE_PRED
 from repro.rewrite import (
     is_syntax_based_prospective,
     pushdown_blocked_tables,
@@ -143,3 +143,49 @@ def test_rewrite_result_properties(schema):
     assert result.target_table == "lineitem"
     if result.succeeded:
         assert result.synthesized_predicate is not None
+
+
+def test_unsatisfiable_join_rewrite_keeps_join_conditions(catalog, schema):
+    """A contradictory WHERE synthesizes FALSE; the rewritten query must
+    keep the join conditions so it can still be planned, and return the
+    same (empty) rows as the original."""
+    sql = (
+        "SELECT l_orderkey FROM lineitem, orders WHERE o_orderkey = l_orderkey "
+        "AND l_shipdate < o_orderdate AND o_orderdate < l_shipdate - 10"
+    )
+    query = parse_query(sql, schema)
+    result = rewrite_query(query, "lineitem", FAST)
+    assert result.succeeded
+    conjuncts = set(result.rewritten.where.conjuncts())
+    assert set(query.where.conjuncts()) <= conjuncts
+    r1, _ = execute(build_plan(query), catalog)
+    r2, _ = execute(build_plan(result.rewritten), catalog)
+    key = Column("lineitem", "l_orderkey", INTEGER)
+    assert r1.num_rows == r2.num_rows == 0
+    assert np.array_equal(r1.column(key), r2.column(key))
+
+
+class _StubSynthesizer:
+    """Returns ``status`` for every subset; the l_shipdate subset hit its
+    synthesis timeout."""
+
+    def __init__(self, status):
+        self.status = status
+
+    def synthesize(self, predicate, subset):
+        (column,) = subset
+        return SynthesisOutcome(
+            status=self.status,
+            predicate=TRUE_PRED if self.status == VALID else None,
+            timed_out=column.name == "l_shipdate",
+        )
+
+
+@pytest.mark.parametrize("status", [VALID, FAILED])
+def test_merged_outcome_reports_any_subset_timeout(schema, status):
+    query = parse_query(MOTIVATING_SQL, schema)
+    result = rewrite_query(
+        query, "lineitem", FAST, synthesizer=_StubSynthesizer(status)
+    )
+    assert result.outcome.status == status
+    assert result.outcome.timed_out
