@@ -56,9 +56,9 @@ file and enforces them directly:
   datetime family (``datetime.datetime.now()`` / ``today()`` /
   ``utcnow()``, under any import alias) all count.
   ``repro/obs/clock.py`` is the single sanctioned call site; the rest
-  of ``repro/obs/`` (heartbeat emitters, exporters, the ledger) is
-  held to the same rule as everything else, because telemetry
-  timestamps must be drivable by ``ManualClock`` too.  ``time.sleep``
+  of ``repro/obs/`` (the tracer, metrics timers, the trace replay) is
+  held to the same rule as everything else, because their timestamps
+  must be drivable by ``ManualClock`` too.  ``time.sleep``
   is not a clock read and stays legal everywhere.
 
 The linter is purely syntactic -- it never imports the code it checks.
@@ -142,8 +142,8 @@ class _Linter(ast.NodeVisitor):
             "core" in parts and Path(path).name not in _SESSION_MODULES
         )
         # Only repro/obs/clock.py may read the real clock (SIA010);
-        # every other obs/ module (heartbeat, export, ledger, top) is
-        # telemetry code whose timestamps must honor ManualClock.
+        # every other obs/ module (trace, metrics, replay) stamps times
+        # that must honor ManualClock.
         self._obs_zone = "obs" in parts and Path(path).name == "clock.py"
         self.findings: list[Finding] = []
         self._class_stack: list[str] = []

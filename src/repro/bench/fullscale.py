@@ -9,7 +9,12 @@ technique) cell and skips completed cells on restart:
     python -m repro.bench.fullscale --summarize results/full.jsonl
 
 The summary prints Table 2 and Table 3 from whatever cells exist, so a
-partial run is already inspectable.
+partial run is already inspectable; ``repro report`` renders the same
+file as per-query profiles.  Each line is one
+:func:`~repro.bench.harness.record_to_json` record, the cell's solver
+counter delta included.  A run killed mid-write leaves a torn last
+line: :func:`load_checkpoint` skips it and :func:`run` cuts it off
+before appending, so the cell is recomputed.
 """
 
 from __future__ import annotations
@@ -27,12 +32,36 @@ from .harness import (
     table2_rows,
     table3_rows,
 )
-from .parallel import TelemetryConfig, parallel_efficacy_records
+from .parallel import parallel_efficacy_records
 from .report import format_table
 
 
-def _cell_key(payload: dict) -> tuple:
-    return (payload["query_index"], tuple(payload["subset"]), payload["technique"])
+def load_checkpoint(path: Path | str) -> list[EfficacyRecord]:
+    """Every cell in a checkpoint file, in file order.
+
+    An unparseable *final* line is a write torn by a killed run and is
+    skipped; an unparseable line anywhere else raises ``ValueError``.
+    Lines written before ``partial`` or ``counters`` existed read with
+    their defaults.
+    """
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    records = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:
+            if number == len(lines):
+                break
+            raise ValueError(f"{path}: line {number} is not JSON") from exc
+        records.append(record_from_json(payload))
+    return records
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut the file back to its last complete line, so the next append
+    does not glue a cell onto a torn one."""
+    with path.open("rb+") as handle:
+        handle.truncate(handle.read().rfind(b"\n") + 1)
 
 
 def run(
@@ -44,7 +73,6 @@ def run(
     workers: int = 1,
     deadline_ms: float | None = None,
     stats: dict | None = None,
-    telemetry=None,
 ) -> int:
     """Run (resumably) and return the number of new cells computed.
 
@@ -56,16 +84,15 @@ def run(
     ``deadline_ms`` bounds each SIA cell's synthesis wall-clock;
     expired cells are checkpointed as partial results (``partial:
     true``, truncated timings).  The driver's run statistics land in
-    ``stats`` (when given); ``telemetry`` (a
-    :class:`~repro.bench.parallel.TelemetryConfig`) turns on the
-    heartbeat/ledger plane.
+    ``stats`` (when given).
     """
     done: set[tuple] = set()
     if out_path.exists():
-        with out_path.open() as handle:
-            for line in handle:
-                if line.strip():
-                    done.add(_cell_key(json.loads(line)))
+        _drop_torn_tail(out_path)
+        done = {
+            (r.query_index, r.subset, r.technique)
+            for r in load_checkpoint(out_path)
+        }
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     new_cells = 0
@@ -90,24 +117,18 @@ def run(
             techniques=tuple(techniques),
             workers=workers,
             deadline_ms=deadline_ms,
-            telemetry=telemetry,
             skip=frozenset(done),
             on_cell=checkpoint,
         )
     if stats is not None:
         stats.update(result.pool)
         stats["counters"] = result.counters
-        stats["metrics"] = result.metrics
     return new_cells
 
 
 def summarize(path: Path) -> str:
     """Render Table 2/3 from whatever checkpoint cells exist."""
-    records = []
-    with path.open() as handle:
-        for line in handle:
-            if line.strip():
-                records.append(record_from_json(json.loads(line)))
+    records = load_checkpoint(path)
     headers2 = ["cols", "possible"]
     for technique in TECHNIQUES:
         headers2 += [f"{technique} valid", f"{technique} optimal"]
@@ -143,10 +164,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-cell synthesis budget; expired cells checkpoint partials",
     )
     parser.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
-        help="write heartbeats.jsonl and ledger.jsonl under DIR",
-    )
-    parser.add_argument(
         "--summarize", type=Path, default=None, metavar="JSONL",
         help="print Table 2/3 from an existing checkpoint file and exit",
     )
@@ -154,13 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.summarize is not None:
         print(summarize(args.summarize))
         return 0
-    telemetry = None
-    if args.telemetry is not None:
-        telemetry = TelemetryConfig(directory=args.telemetry)
     new_cells = run(
         args.queries, args.seed, args.out,
         workers=args.parallel, deadline_ms=args.deadline_ms,
-        telemetry=telemetry,
     )
     print(f"computed {new_cells} new cells -> {args.out}", file=sys.stderr)
     print(summarize(args.out))

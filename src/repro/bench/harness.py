@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from statistics import mean
 
 from ..obs.clock import now as _now
@@ -118,16 +118,19 @@ class EfficacyRecord:
     predicate_sql: str | None = None
     #: The cell's synthesis deadline expired (section 6.2): verdict and
     #: timings describe a truncated run.  Flows through checkpoint
-    #: lines, the run ledger and reports so aggregates can keep partial
-    #: cells out of timing averages.
+    #: lines and reports so aggregates can keep partial cells out of
+    #: timing averages.
     partial: bool = False
+    #: The cell's nonzero :data:`~repro.smt.stats.GLOBAL_COUNTERS`
+    #: delta (solver effort per tier, attributable per cell).
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 _EFFICACY_CACHE: dict[tuple, list[EfficacyRecord]] = {}
 
 
 def record_to_json(record: EfficacyRecord) -> dict:
-    """JSON encoding of a record (checkpoint lines, run ledger):
+    """JSON encoding of a record (one checkpoint line):
     ``predicate`` becomes its SQL rendering."""
     payload = asdict(record)
     del payload["predicate_sql"]  # folded into the "predicate" key
@@ -144,8 +147,9 @@ def record_from_json(payload: dict) -> EfficacyRecord:
     ``predicate_sql`` and ``predicate`` is ``None``."""
     payload = dict(payload)
     payload["subset"] = tuple(payload["subset"])
-    # Checkpoints written before the partial flag existed lack the key.
+    # Checkpoints written before these fields existed lack the keys.
     payload.setdefault("partial", False)
+    payload.setdefault("counters", {})
     payload["predicate_sql"] = payload["predicate"]
     payload["predicate"] = None
     return EfficacyRecord(**payload)

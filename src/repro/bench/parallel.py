@@ -25,11 +25,12 @@ those cells; :func:`repro.bench.harness.efficacy_records`,
 Records do not depend on the worker count: each cell's synthesis RNG
 is seeded from its ``SiaConfig`` alone, all cells of one query run
 consecutively in one process in canonical order, and batches are
-merged by ascending query index, never arrival order.  Pool workers
-ship their records with ``predicate`` rendered to ``predicate_sql``
-(``Pred`` trees do not cross the process boundary), together with
-their :data:`~repro.smt.stats.GLOBAL_COUNTERS` and
-:data:`~repro.obs.metrics.GLOBAL_METRICS` deltas.
+merged by ascending query index, never arrival order.  Every record
+carries its own :data:`~repro.smt.stats.GLOBAL_COUNTERS` delta.  Pool
+workers ship their records with ``predicate`` rendered to
+``predicate_sql`` (``Pred`` trees do not cross the process boundary),
+together with their per-query :data:`~repro.smt.stats.GLOBAL_COUNTERS`
+and :data:`~repro.obs.metrics.GLOBAL_METRICS` deltas.
 
 Environment knobs (``SIA_FLOAT_FILTER``) cross the process boundary
 through the pool's explicit initializer -- never through start-method
@@ -39,31 +40,20 @@ applied so tests can assert parity.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from ..obs.clock import now as _now
-from ..obs.heartbeat import (
-    DEFAULT_INTERVAL_MS,
-    GLOBAL_BOARD,
-    BeaconChannel,
-    HeartbeatEmitter,
-    RunModel,
-)
-from ..obs.ledger import RunLedger, cell_entry
 from ..obs.metrics import GLOBAL_METRICS, merge_delta
 from ..obs.trace import get_tracer
-from ..smt.backend import FLOAT_MODE_ENV, resolve_float_mode
+from ..smt.backend import FLOAT_MODE_ENV
 from ..smt.stats import GLOBAL_COUNTERS
 from ..tpch import WorkloadQuery, generate_workload
 from .harness import (
-    _CONFIGS,
     TECHNIQUES,
     EfficacyRecord,
     _ground_truth_possible,
@@ -89,102 +79,8 @@ PROPAGATED_ENV = (FLOAT_MODE_ENV, CRASH_ENV)
 #: Pools started per run: the first one plus one restart after a crash.
 _POOL_ATTEMPTS = 2
 
-#: Parent poll interval while telemetry is on, seconds: how often
-#: beacons are folded and silence is checked between results.
-_POLL_S = 0.25
-
 #: A cell already computed: (query index, subset column names, technique).
 CellKey = tuple[int, tuple[str, ...], str]
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Where and how often the run's telemetry plane writes.
-
-    ``directory`` receives ``heartbeats.jsonl`` (worker beacons +
-    parent driver lines, rendered by ``repro top``) and
-    ``ledger.jsonl`` (the per-cell run ledger, rendered by ``repro
-    report``).  When no config is given, the telemetry plane does not
-    exist: no emitter thread, no beacon queue, no board posts -- the
-    null path costs nothing.
-    """
-
-    directory: Path
-    heartbeat_ms: float = DEFAULT_INTERVAL_MS
-
-    @property
-    def heartbeat_path(self) -> Path:
-        return Path(self.directory) / "heartbeats.jsonl"
-
-    @property
-    def ledger_path(self) -> Path:
-        return Path(self.directory) / "ledger.jsonl"
-
-
-class _TelemetryRecorder:
-    """Parent-side telemetry plane: beacon fold + ``heartbeats.jsonl``.
-
-    Owns the :class:`~repro.obs.heartbeat.RunModel` for the run and the
-    heartbeat log file.  Every beacon is folded *and* appended verbatim
-    (with a flush, so ``repro top`` can tail a live run); the parent
-    adds ``driver`` lines (progress, queue depth), ``silence`` lines
-    (one per newly-flagged worker) and a final ``end`` line.
-    """
-
-    def __init__(self, config: TelemetryConfig) -> None:
-        self.model = RunModel(interval_ms=config.heartbeat_ms)
-        #: Where beacons arrive: an in-process queue, unless the pool
-        #: driver swaps in a process queue.
-        self.channel = BeaconChannel()
-        Path(config.directory).mkdir(parents=True, exist_ok=True)
-        self._fh = open(config.heartbeat_path, "w")
-
-    def _write(self, line: dict) -> None:
-        self._fh.write(json.dumps(line, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def fold(self) -> None:
-        """Fold and log every queued beacon."""
-        # Beacon "t" is worker perf-counter time (arbitrary epoch); the
-        # parent stamps its own arrival clock as "rx" so every line in
-        # the log shares one epoch for `repro top` to order by.
-        arrival = _now()
-        for beacon in self.channel.drain():
-            self.model.fold(beacon, arrival)
-            self._write({**beacon, "rx": round(arrival, 4)})
-
-    def poll(self) -> None:
-        """:meth:`fold`, then log each newly silent worker."""
-        self.fold()
-        for wid in self.model.flag_silent(_now()):
-            self._write({"type": "silence", "t": round(_now(), 4), "worker": wid})
-
-    def driver_line(self, *, done: int, total: int, queue_depth: int) -> None:
-        self._write(
-            {
-                "type": "driver",
-                "t": round(_now(), 4),
-                "done": done,
-                "total": total,
-                "queue_depth": queue_depth,
-            }
-        )
-
-    def close(self) -> dict:
-        """Fold the last beacons, write the ``end`` line; returns the
-        run-model rollup."""
-        self.fold()
-        rollup = self.model.snapshot()
-        self._write(
-            {
-                "type": "end",
-                "t": round(_now(), 4),
-                "beacons": rollup["beacons"],
-                "silence_flags": rollup["silence_flags"],
-            }
-        )
-        self._fh.close()
-        return rollup
 
 
 @dataclass
@@ -210,18 +106,9 @@ class _Batch:
     records: list[EfficacyRecord]
     counters: dict[str, int]
     metrics: dict[str, dict]
-    ledger: list[dict]
     busy_ms: float
     #: (pid, applied environment) of the pool worker that ran it.
     worker: tuple[int, dict] | None = None
-
-
-def _cell_audit(technique: str) -> str:
-    """Ledger audit status: were the cell's verify verdicts certified?"""
-    config = _CONFIGS.get(technique)
-    if config is not None and config.certify_verify:
-        return "certified"
-    return "none"
 
 
 def _query_batch(
@@ -230,24 +117,18 @@ def _query_batch(
     deadline_ms: float | None,
     skip: frozenset[CellKey],
     *,
-    telemetry: bool = False,
     on_cell: Callable[[EfficacyRecord], None] | None = None,
 ) -> _Batch:
     """Every cell of one query not in ``skip``, in canonical order.
 
-    ``on_cell`` sees each record as soon as it exists.  With
-    ``telemetry`` on, the hot path additionally posts its current
-    position to the heartbeat status board (a few plain attribute
-    stores per *cell*, read by the emitter thread) and builds one run
-    ledger entry per cell with that cell's solver-counter delta.  Off,
-    neither exists -- the null path is unchanged.
+    Each record gets its cell's nonzero solver-counter delta;
+    ``on_cell`` sees each record as soon as it exists.
     """
     tracer = get_tracer()
     start = _now()
     before = GLOBAL_COUNTERS.snapshot()
     metrics_before = GLOBAL_METRICS.snapshot()
     records: list[EfficacyRecord] = []
-    ledger: list[dict] = []
     with GLOBAL_METRICS.timer("bench.query_ms").time(), tracer.span(
         "bench.query", index=wq.index, counters=True
     ):
@@ -258,15 +139,6 @@ def _query_batch(
             ]
             if not pending:
                 continue
-            subset_label = "+".join(str(col) for col in subset)
-            if telemetry:
-                GLOBAL_BOARD.post(
-                    query=wq.index,
-                    cell=subset_label,
-                    phase="ground_truth",
-                    cells_done=len(records),
-                    deadline_ms=deadline_ms,
-                )
             with tracer.span(
                 "bench.ground_truth",
                 phase="ground_truth",
@@ -274,13 +146,7 @@ def _query_batch(
             ):
                 possible = _ground_truth_possible(wq, subset)
             for technique in pending:
-                if telemetry:
-                    GLOBAL_BOARD.post(
-                        cell=f"{subset_label}/{technique}",
-                        phase="cell",
-                        cells_done=len(records),
-                    )
-                    cell_before = GLOBAL_COUNTERS.snapshot()
+                cell_before = GLOBAL_COUNTERS.snapshot()
                 with tracer.span("bench.cell", technique=technique):
                     if technique == "TC":
                         record = _run_transitive_closure(wq, subset)
@@ -289,27 +155,22 @@ def _query_batch(
                             wq, subset, technique, deadline_ms=deadline_ms
                         )
                 record.possible = possible
+                record.counters = {
+                    name: value
+                    for name, value in GLOBAL_COUNTERS.delta_since(
+                        cell_before
+                    ).items()
+                    if value
+                }
                 records.append(record)
                 if on_cell is not None:
                     on_cell(record)
-                if telemetry:
-                    ledger.append(
-                        cell_entry(
-                            record_to_json(record),
-                            counters=GLOBAL_COUNTERS.delta_since(cell_before),
-                            audit=_cell_audit(technique),
-                            deadline_ms=deadline_ms,
-                        )
-                    )
-    if telemetry:
-        GLOBAL_BOARD.post(phase="idle", cells_done=len(records))
     GLOBAL_METRICS.counter("bench.cells").inc(len(records))
     return _Batch(
         index=wq.index,
         records=records,
         counters=GLOBAL_COUNTERS.delta_since(before),
         metrics=GLOBAL_METRICS.delta_since(metrics_before),
-        ledger=ledger,
         busy_ms=(_now() - start) * 1000.0,
     )
 
@@ -317,19 +178,13 @@ def _query_batch(
 # ----------------------------------------------------------------------
 # Pool worker side (top-level functions so spawn can pickle them)
 # ----------------------------------------------------------------------
-def _init_worker(
-    overrides: dict[str, str], beacon_queue, heartbeat_ms: float
-) -> None:
-    """Pool initializer: environment and heartbeat emitter.
+def _init_worker(overrides: dict[str, str]) -> None:
+    """Pool initializer: applies exactly the parent's environment snapshot.
 
-    Applies exactly the parent's snapshot: keys present in
-    ``overrides`` are set, propagated keys absent from it are cleared.
-    Spawn children *do* inherit the parent's environment on every
-    platform this repo targets, but the contract must not depend on
-    start-method details.  With telemetry on (``beacon_queue`` given),
-    one beacon is posted at once -- every worker is seen even if it
-    exits before its first period -- and a daemon emitter beats for the
-    rest of the worker's life.
+    Keys present in ``overrides`` are set, propagated keys absent from
+    it are cleared.  Spawn children *do* inherit the parent's
+    environment on every platform this repo targets, but the contract
+    must not depend on start-method details.
     """
     for key in PROPAGATED_ENV:
         value = overrides.get(key)
@@ -337,12 +192,6 @@ def _init_worker(
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
-    if beacon_queue is not None:
-        emitter = HeartbeatEmitter(
-            os.getpid(), BeaconChannel(beacon_queue), interval_ms=heartbeat_ms
-        )
-        emitter.beat()
-        emitter.start()
 
 
 def _crash_requested(index: int, attempt: int) -> bool:
@@ -356,13 +205,12 @@ def _pool_task(
     techniques: tuple[str, ...],
     deadline_ms: float | None,
     skip: frozenset[CellKey],
-    telemetry: bool,
     attempt: int,
 ) -> _Batch:
     """One query's batch inside a pool worker."""
     if _crash_requested(wq.index, attempt):
         os._exit(3)  # fault injection, see CRASH_ENV
-    batch = _query_batch(wq, techniques, deadline_ms, skip, telemetry=telemetry)
+    batch = _query_batch(wq, techniques, deadline_ms, skip)
     batch.records = [record_from_json(record_to_json(r)) for r in batch.records]
     batch.worker = (
         os.getpid(),
@@ -385,7 +233,6 @@ def _run_pool(
     deadline_ms: float | None,
     skip: frozenset[CellKey],
     workers: int,
-    recorder: _TelemetryRecorder | None,
     deliver: Callable[[_Batch], None],
 ) -> int:
     """Run ``queries`` on a longest-first pool; returns pool restarts."""
@@ -394,18 +241,9 @@ def _run_pool(
     # the deltas workers report would ride on inherited state instead
     # of starting from zero.
     context = multiprocessing.get_context("spawn")
-    beacon_queue = None
-    heartbeat_ms = DEFAULT_INTERVAL_MS
-    if recorder is not None:
-        # Workers beat from other processes: swap the recorder's
-        # in-process channel for one over a process queue.
-        beacon_queue = context.Queue()
-        recorder.channel = BeaconChannel(beacon_queue)
-        heartbeat_ms = recorder.model.interval_ms
     overrides = {
         key: os.environ[key] for key in PROPAGATED_ENV if key in os.environ
     }
-    initargs = (overrides, beacon_queue, heartbeat_ms)
     costs = expected_costs(queries)
     todo = [
         queries[pos]
@@ -417,14 +255,13 @@ def _run_pool(
             max_workers=min(workers, len(todo)),
             mp_context=context,
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(overrides,),
         )
         try:
             # The executor hands queued tasks out in submission order.
             pending = {
                 pool.submit(
-                    _pool_task, wq, techniques, deadline_ms, skip,
-                    recorder is not None, attempt,
+                    _pool_task, wq, techniques, deadline_ms, skip, attempt
                 )
                 for wq in todo
             }
@@ -432,30 +269,14 @@ def _run_pool(
             # future at once, so the loop still drains; results that
             # arrived before the crash are delivered and kept.
             while pending:
-                finished, pending = wait(
-                    pending,
-                    timeout=_POLL_S if recorder is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
                     if isinstance(future.exception(), BrokenProcessPool):
                         continue
                     batch = future.result()
                     deliver(batch)
                     arrived.add(batch.index)
-                    if recorder is not None:
-                        left = len(queries) - len(arrived)
-                        recorder.driver_line(
-                            done=len(arrived),
-                            total=len(queries),
-                            queue_depth=max(left - workers, 0),
-                        )
-                if recorder is not None:
-                    recorder.poll()
         finally:
-            # Joins the workers.  The beacon queue was drained at the
-            # last poll, so it holds at most a beat or two per worker
-            # and cannot block a worker's exit.
             pool.shutdown(cancel_futures=True)
         todo = [wq for wq in todo if wq.index not in arrived]
         if not todo:
@@ -474,7 +295,6 @@ def parallel_efficacy_records(
     techniques: tuple[str, ...] = TECHNIQUES,
     workers: int | None = None,
     deadline_ms: float | None = None,
-    telemetry: TelemetryConfig | None = None,
     skip: frozenset[CellKey] = frozenset(),
     on_cell: Callable[[EfficacyRecord], None] | None = None,
 ) -> ParallelRunResult:
@@ -492,20 +312,11 @@ def parallel_efficacy_records(
     run (the resumable fullscale runner passes its checkpoint).
     ``on_cell`` receives each record as soon as the calling process
     has it: per cell in-process, per finished query from a pool.
-
-    ``telemetry`` (a :class:`TelemetryConfig`) turns on the heartbeat
-    plane and the run ledger: workers beat into
-    ``<dir>/heartbeats.jsonl`` and every cell lands in
-    ``<dir>/ledger.jsonl`` (ascending query order, like the merge).
     """
     num_queries = num_queries if num_queries is not None else bench_queries()
     seed = seed if seed is not None else bench_seed()
     workers = workers if workers is not None else default_workers()
     queries = generate_workload(num_queries, seed=seed)
-
-    recorder = emitter = None
-    if telemetry is not None:
-        recorder = _TelemetryRecorder(telemetry)
     batches: dict[int, _Batch] = {}
 
     def deliver(batch: _Batch) -> None:
@@ -516,39 +327,15 @@ def parallel_efficacy_records(
 
     pool_stats: dict = {"workers": max(workers, 1), "restarts": 0}
     start = _now()
-    try:
-        if workers > 1 and queries:
-            pool_stats["restarts"] = _run_pool(
-                queries, techniques, deadline_ms, skip, workers,
-                recorder, deliver,
+    if workers > 1 and queries:
+        pool_stats["restarts"] = _run_pool(
+            queries, techniques, deadline_ms, skip, workers, deliver
+        )
+    else:
+        for wq in queries:
+            deliver(
+                _query_batch(wq, techniques, deadline_ms, skip, on_cell=on_cell)
             )
-        else:
-            if recorder is not None:
-                emitter = HeartbeatEmitter(
-                    os.getpid(),
-                    recorder.channel,
-                    interval_ms=telemetry.heartbeat_ms,
-                ).start()
-            for done, wq in enumerate(queries, start=1):
-                deliver(
-                    _query_batch(
-                        wq, techniques, deadline_ms, skip,
-                        telemetry=recorder is not None, on_cell=on_cell,
-                    )
-                )
-                if recorder is not None:
-                    recorder.driver_line(
-                        done=done,
-                        total=len(queries),
-                        queue_depth=len(queries) - done,
-                    )
-                    recorder.poll()
-    finally:
-        if emitter is not None:
-            emitter.stop()
-            GLOBAL_BOARD.reset()
-        if recorder is not None:
-            pool_stats["heartbeats"] = recorder.close()
     wall_ms = (_now() - start) * 1000.0
     busy_ms = sum(batch.busy_ms for batch in batches.values())
     pool_stats["busy_ms"] = round(busy_ms, 1)
@@ -572,23 +359,6 @@ def parallel_efficacy_records(
         if batch.worker is not None:
             pid, env = batch.worker
             worker_env[pid] = env
-    if telemetry is not None:
-        with RunLedger(
-            telemetry.ledger_path,
-            {
-                "float_filter": resolve_float_mode(
-                    _CONFIGS["SIA"].float_filter
-                ),
-                "techniques": list(techniques),
-                "workers": workers,
-                "deadline_ms": deadline_ms,
-                "seed": seed,
-                "queries": len(queries),
-            },
-        ) as run_ledger:
-            for batch in ordered:
-                for entry in batch.ledger:
-                    run_ledger.append(entry)
     return ParallelRunResult(
         records=[record for batch in ordered for record in batch.records],
         counters=counters,

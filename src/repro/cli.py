@@ -7,11 +7,8 @@ Usage::
     python -m repro demo
     python -m repro bench --parallel 4 [--queries 8] [--seed 42]
     python -m repro bench --fullscale --parallel 4 [--deadline-ms 5000]
-    python -m repro bench --parallel 2 --telemetry telemetry/
     python -m repro bench --compare old_BENCH.json
-    python -m repro top telemetry/heartbeats.jsonl --once
-    python -m repro report telemetry/ledger.jsonl
-    python -m repro serve-metrics --port 9109
+    python -m repro report results/fullscale.jsonl [--json]
 
 The TPC-H schema is built in; any query over its tables parses
 directly.  ``rewrite`` prints the rewritten SQL (or the reason nothing
@@ -155,24 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "portion of the run only",
     )
     bench.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="telemetry",
-        default=None,
-        metavar="DIR",
-        help="write live telemetry under DIR (default 'telemetry'): "
-        "heartbeats.jsonl for 'repro top' and ledger.jsonl for "
-        "'repro report'; off when the flag is absent",
-    )
-    bench.add_argument(
-        "--heartbeat-ms",
-        dest="heartbeat_ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="worker heartbeat period for --telemetry (default: 500)",
-    )
-    bench.add_argument(
         "--compare",
         dest="compare_path",
         default=None,
@@ -210,39 +189,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "regressions",
     )
 
-    top = sub.add_parser(
-        "top",
-        help="live terminal view of a telemetry-enabled bench run "
-        "(reads heartbeats.jsonl)",
-    )
-    top.add_argument(
-        "path",
-        nargs="?",
-        default="telemetry/heartbeats.jsonl",
-        help="heartbeat log (default: telemetry/heartbeats.jsonl)",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single frame and exit (CI-friendly)",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="refresh period in seconds for live mode (default: 1.0)",
-    )
-
     report = sub.add_parser(
         "report",
-        help="per-query profiles from a run ledger (reads ledger.jsonl)",
+        help="per-query profiles from a fullscale checkpoint (a live "
+        "run's checkpoint shows its progress so far)",
     )
     report.add_argument(
         "path",
         nargs="?",
-        default="telemetry/ledger.jsonl",
-        help="run ledger (default: telemetry/ledger.jsonl)",
+        default="results/fullscale.jsonl",
+        help="checkpoint file (default: results/fullscale.jsonl)",
     )
     report.add_argument(
         "--json",
@@ -250,14 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="as_json",
         help="emit the profiles as JSON for CI",
     )
-
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="stdlib HTTP endpoint exposing live metrics "
-        "(/metrics Prometheus text, /metrics.json, /healthz)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9109)
 
     trace = sub.add_parser(
         "trace",
@@ -383,70 +331,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _run_gauges(pool: dict, metrics: dict | None) -> dict[str, float]:
-    """Every gauge the run produced: worker deltas + parent registry.
-
-    Setting ``bench.worker_utilization`` here (not just printing it)
-    keeps the parent registry the single source the exporters read.
-    """
-    from .obs.metrics import GLOBAL_METRICS
-
-    gauges: dict[str, float] = dict((metrics or {}).get("gauges", {}))
-    if pool:
-        GLOBAL_METRICS.gauge("bench.worker_utilization").set(
-            pool.get("utilization", 0.0)
-        )
-    gauges.update(GLOBAL_METRICS.summary()["gauges"])
-    return gauges
-
-
-def _print_pool_stats(pool: dict, metrics: dict | None = None) -> None:
-    """Scheduler summary, gauge values, and the telemetry rollup."""
+def _print_pool_stats(pool: dict) -> None:
+    """One-line scheduler summary."""
     if not pool:
         return
     print(
         f"pool: {pool.get('workers', 1)} worker(s) at "
         f"{pool.get('utilization', 0.0):.0%} utilization, "
         f"restarts={pool.get('restarts', 0)}"
-    )
-    gauges = _run_gauges(pool, metrics)
-    if gauges:
-        print(
-            "gauges: "
-            + " ".join(
-                f"{name}={value}" for name, value in sorted(gauges.items())
-            )
-        )
-    heartbeats = pool.get("heartbeats")
-    if heartbeats:
-        print(
-            f"telemetry: {heartbeats.get('beacons', 0)} beacon(s) from "
-            f"{len(heartbeats.get('workers', {}))} worker(s), "
-            f"{heartbeats.get('silence_flags', 0)} silence flag(s)"
-        )
-
-
-def _telemetry_config(args: argparse.Namespace):
-    """The run's ``TelemetryConfig``, or ``None`` when --telemetry is off."""
-    if args.telemetry is None:
-        return None
-    from pathlib import Path
-
-    from .bench.parallel import TelemetryConfig
-    from .obs.heartbeat import DEFAULT_INTERVAL_MS
-
-    return TelemetryConfig(
-        directory=Path(args.telemetry),
-        heartbeat_ms=args.heartbeat_ms or DEFAULT_INTERVAL_MS,
-    )
-
-
-def _print_telemetry_paths(telemetry) -> None:
-    if telemetry is None:
-        return
-    print(
-        f"telemetry: heartbeats -> {telemetry.heartbeat_path}, "
-        f"ledger -> {telemetry.ledger_path}"
     )
 
 
@@ -501,17 +393,15 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
     process pool.  The perf entry lands as ``parallel/fullscale`` with
     the run statistics attached.
     """
-    import json
     from pathlib import Path
 
-    from .bench.fullscale import run as fullscale_run
+    from .bench.fullscale import load_checkpoint, run as fullscale_run
     from .bench.perflog import DEFAULT_PATH, summarize_times, update_bench_json
     from .obs import now
 
     num_queries = args.queries if args.queries is not None else 200
     seed = args.seed if args.seed is not None else 42
     out = Path(args.fullscale_out or "results/fullscale.jsonl")
-    telemetry = _telemetry_config(args)
     stats: dict = {}
     start = now()
     new_cells = fullscale_run(
@@ -521,44 +411,35 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
         workers=workers,
         deadline_ms=args.deadline_ms,
         stats=stats,
-        telemetry=telemetry,
     )
     wall_clock_ms = (now() - start) * 1000.0
 
-    times: list[float] = []
-    cells = valid = optimal = partial = 0
-    with out.open() as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            cells += 1
-            valid += bool(payload["valid"])
-            optimal += bool(payload["optimal"])
-            partial += bool(payload.get("partial", False))
-            if not payload.get("partial", False):
-                # Partial (deadline-expired) cells have truncated
-                # timings; keep them out of the perf trajectory.
-                times.append(
-                    payload["generation_ms"]
-                    + payload["learning_ms"]
-                    + payload["validation_ms"]
-                )
+    records = load_checkpoint(out)
+    cells = len(records)
+    valid = sum(r.valid for r in records)
+    optimal = sum(r.optimal for r in records)
+    partial = sum(r.partial for r in records)
+    # Partial (deadline-expired) cells have truncated timings; keep
+    # them out of the perf trajectory.
+    times = [
+        r.generation_ms + r.learning_ms + r.validation_ms
+        for r in records
+        if not r.partial
+    ]
     print(
         f"fullscale: {new_cells} new cells ({cells} total, {valid} valid, "
         f"{optimal} optimal, {partial} partial) in "
         f"{wall_clock_ms / 1000.0:.1f} s on {workers} worker(s) -> {out}"
     )
-    _print_telemetry_paths(telemetry)
     pool = {
         key: stats[key]
         for key in (
             "workers", "restarts", "busy_ms", "utilization", "wall_ms",
-            "deadline_ms", "heartbeats",
+            "deadline_ms",
         )
         if key in stats
     }
-    _print_pool_stats(pool, stats.get("metrics"))
+    _print_pool_stats(pool)
     if args.json_path != "-" and times:
         entry = summarize_times(times)
         entry.update(
@@ -600,7 +481,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     workers = default_workers() if args.parallel == 0 else args.parallel
     if args.fullscale:
         return _cmd_bench_fullscale(args, workers)
-    telemetry = _telemetry_config(args)
     tracing = (
         install_file_tracer(args.trace_path)
         if args.trace_path
@@ -619,16 +499,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 workers=workers,
                 deadline_ms=args.deadline_ms,
-                telemetry=telemetry,
             )
         wall_clock_ms = (now() - start) * 1000.0
-        if tracer is not None:
-            # Gauges ride the trace as events so `repro trace --json`
-            # surfaces them alongside the phase attribution.
-            for name, value in sorted(
-                _run_gauges(result.pool, result.metrics).items()
-            ):
-                tracer.event("metrics.gauge", gauge=name, value=value)
     records = result.records
     valid = sum(1 for r in records if r.valid)
     optimal = sum(1 for r in records if r.optimal)
@@ -647,8 +519,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{counters.get('sessions_created', 0)} sessions), "
         f"{counters.get('clauses_learned', 0)} clauses learned"
     )
-    _print_pool_stats(result.pool, result.metrics)
-    _print_telemetry_paths(telemetry)
+    _print_pool_stats(result.pool)
     if args.trace_path:
         print(f"trace {trace_id} written to {args.trace_path}")
     if args.json_path != "-" and records:
@@ -709,18 +580,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import run_top
-
-    return run_top(args.path, once=args.once, interval_s=args.interval)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .obs.ledger import load_ledger, per_query_profiles, render_report
+    from .bench.fullscale import load_checkpoint
+    from .bench.report import per_query_profiles, render_report
 
     try:
-        header, entries = load_ledger(args.path)
-    except OSError as exc:
+        records = load_checkpoint(args.path)
+    except (OSError, ValueError) as exc:
         print(f"report: error: {exc}", file=sys.stderr)
         return 2
     if args.as_json:
@@ -728,24 +594,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         print(
             json.dumps(
-                {
-                    "config": header.get("config", {}),
-                    "version": header.get("version"),
-                    "profiles": per_query_profiles(entries),
-                },
+                {"profiles": per_query_profiles(records)},
                 indent=2,
                 sort_keys=True,
             )
         )
         return 0
-    print(render_report(header, entries))
-    return 0
-
-
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    from .obs.export import serve
-
-    serve(args.host, args.port)
+    print(render_report(records))
     return 0
 
 
@@ -799,12 +654,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bench(args)
         if args.command == "trace":
             return _cmd_trace(args)
-        if args.command == "top":
-            return _cmd_top(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "serve-metrics":
-            return _cmd_serve_metrics(args)
         # demo
         from .engine import execute
         from .tpch import generate_catalog

@@ -10,13 +10,10 @@ A zero-dependency substrate the whole stack reports through:
   worker-mergeable deltas, generalizing the solver's
   :data:`~repro.smt.stats.GLOBAL_COUNTERS`;
 * :mod:`repro.obs.replay` -- the ``repro trace`` replay: per-phase
-  attribution tables and text flamegraphs from a trace file;
-* :mod:`repro.obs.heartbeat` -- worker heartbeats over a lossy side
-  channel plus the parent-side run model (``repro top``);
-* :mod:`repro.obs.ledger` -- the append-only per-attempt run ledger
-  and its per-query profiles (``repro report``);
-* :mod:`repro.obs.export` -- Prometheus-text / JSON snapshot exporters
-  and the stdlib HTTP endpoint (``repro serve-metrics``).
+  attribution tables and text flamegraphs from a trace file.
+
+The per-cell record of an efficacy run is the fullscale checkpoint
+(:mod:`repro.bench.fullscale`), rendered by ``repro report``.
 
 :func:`install_file_tracer` is the one-call entry point the CLI and
 benchmarks use::
@@ -34,25 +31,9 @@ from pathlib import Path
 from typing import Iterator
 
 from .clock import Clock, ManualClock, get_clock, now, set_clock
-from .export import MetricsServer, metrics_snapshot, prometheus_text
-from .heartbeat import (
-    GLOBAL_BOARD,
-    BeaconChannel,
-    HeartbeatEmitter,
-    RunModel,
-    StatusBoard,
-)
-from .ledger import (
-    RunLedger,
-    cell_entry,
-    load_ledger,
-    per_query_profiles,
-    render_report,
-)
 from .metrics import (
     GLOBAL_METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Timer,
@@ -69,36 +50,22 @@ from .trace import (
 )
 
 __all__ = [
-    "BeaconChannel",
     "Clock",
     "Counter",
-    "GLOBAL_BOARD",
     "GLOBAL_METRICS",
-    "Gauge",
-    "HeartbeatEmitter",
     "Histogram",
     "ManualClock",
     "MetricsRegistry",
-    "MetricsServer",
     "NULL_TRACER",
     "NullTracer",
-    "RunLedger",
-    "RunModel",
     "Span",
-    "StatusBoard",
     "Timer",
     "Tracer",
-    "cell_entry",
     "get_clock",
     "get_tracer",
     "install_file_tracer",
-    "load_ledger",
     "merge_delta",
-    "metrics_snapshot",
     "now",
-    "per_query_profiles",
-    "prometheus_text",
-    "render_report",
     "set_clock",
     "set_tracer",
     "summarize_values",

@@ -35,7 +35,6 @@ from .clock import now
 __all__ = [
     "Counter",
     "GLOBAL_METRICS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Timer",
@@ -67,33 +66,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins).
-
-    Gauges report *state* (worker utilization, pool occupancy), not
-    *events*.  They participate in the snapshot/delta protocol with
-    last-write-wins semantics: :meth:`MetricsRegistry.snapshot` records
-    each gauge's write version, :meth:`MetricsRegistry.delta_since`
-    ships the current value for gauges written since the snapshot, and
-    :func:`merge_delta` overwrites in merge order (ascending batch
-    index), so the aggregate carries the latest state deterministically
-    rather than an invented sum.
-    """
-
-    __slots__ = ("value", "version")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        #: Write counter; lets ``delta_since`` distinguish "set to the
-        #: same value again" from "never written" without comparing
-        #: floats.
-        self.version = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.version += 1
 
 
 class Histogram:
@@ -159,13 +131,12 @@ def summarize_values(
 class MetricsRegistry:
     """Named counters/timers/histograms, created on first use."""
 
-    __slots__ = ("_counters", "_timers", "_histograms", "_gauges")
+    __slots__ = ("_counters", "_timers", "_histograms")
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._gauges: dict[str, Gauge] = {}
 
     # -- access --------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -195,15 +166,6 @@ class MetricsRegistry:
                     metric = self._histograms[name] = Histogram()
         return metric
 
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            with _REGISTRY_LOCK:
-                metric = self._gauges.get(name)
-                if metric is None:
-                    metric = self._gauges[name] = Gauge()
-        return metric
-
     # -- snapshots / deltas -------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """Positions of every metric, for a later :meth:`delta_since`."""
@@ -217,7 +179,6 @@ class MetricsRegistry:
                 k: (h.count, len(h.values), h.total)
                 for k, h in self._histograms.items()
             },
-            "gauges": {k: g.version for k, g in self._gauges.items()},
         }
 
     def delta_since(self, snapshot: dict[str, Any]) -> dict[str, Any]:
@@ -247,11 +208,6 @@ class MetricsRegistry:
                     "max": round(metric.max, 4),
                 }
             out[kind] = deltas
-        gauges = {}
-        for name, gauge in self._gauges.items():
-            if gauge.version != snapshot.get("gauges", {}).get(name, 0):
-                gauges[name] = round(gauge.value, 4)
-        out["gauges"] = gauges
         return out
 
     def summary(self) -> dict[str, Any]:
@@ -264,16 +220,12 @@ class MetricsRegistry:
             "histograms": {
                 k: h.summary() for k, h in sorted(self._histograms.items())
             },
-            "gauges": {
-                k: round(g.value, 4) for k, g in sorted(self._gauges.items())
-            },
         }
 
     def reset(self) -> None:
         self._counters.clear()
         self._timers.clear()
         self._histograms.clear()
-        self._gauges.clear()
 
 
 def merge_delta(total: dict[str, Any], delta: dict[str, Any]) -> dict[str, Any]:
@@ -283,15 +235,12 @@ def merge_delta(total: dict[str, Any], delta: dict[str, Any]) -> dict[str, Any]:
     output; start from ``{}``.  Counter increments add; timer/histogram
     deltas add counts/sums and **append** value lists in merge order, so
     the caller's ordering discipline (ascending batch index) makes the
-    aggregate deterministic.  Gauge values overwrite (last write in
-    merge order wins).  Deltas must come from non-overlapping windows
+    aggregate deterministic.  Deltas must come from non-overlapping windows
     (per-batch snapshots), or events would be double-counted.
     """
     for name, value in delta.get("counters", {}).items():
         bucket = total.setdefault("counters", {})
         bucket[name] = bucket.get(name, 0) + value
-    for name, value in delta.get("gauges", {}).items():
-        total.setdefault("gauges", {})[name] = value
     for kind in ("timers", "histograms"):
         for name, entry in delta.get(kind, {}).items():
             bucket = total.setdefault(kind, {}).setdefault(

@@ -76,23 +76,6 @@ class TraceReplay:
         nodes = self.spans.values()
         return max(n.t1 for n in nodes) - min(n.t0 for n in nodes)
 
-    def gauges(self) -> dict[str, float]:
-        """Gauge values recorded as ``metrics.gauge`` events.
-
-        The bench CLI emits one event per gauge at end of run;
-        last-write-wins when a gauge was recorded more than once, same
-        as the registry semantics.
-        """
-        out: dict[str, float] = {}
-        for record in self.events:
-            if record.get("name") != "metrics.gauge":
-                continue
-            attrs = record.get("attrs") or {}
-            name, value = attrs.get("gauge"), attrs.get("value")
-            if isinstance(name, str) and isinstance(value, (int, float)):
-                out[name] = float(value)
-        return out
-
     # ------------------------------------------------------------------
     def phase_totals(self) -> dict[str, dict]:
         """Aggregate outermost phase spans: phase -> stats.
@@ -286,14 +269,6 @@ def render_phase_table(replay: TraceReplay) -> str:
         f"wall-clock {replay.wall_ms:.1f} ms over {len(replay.spans)} spans"
         + (f" (trace {replay.trace_id})" if replay.trace_id else "")
     )
-    gauges = replay.gauges()
-    if gauges:
-        lines.append(
-            "gauges: "
-            + " ".join(
-                f"{name}={value}" for name, value in sorted(gauges.items())
-            )
-        )
     return "\n".join(lines)
 
 
@@ -332,5 +307,4 @@ def replay_to_json(replay: TraceReplay) -> dict:
         "events": len(replay.events),
         "malformed_lines": replay.malformed_lines,
         "phases": {row.pop("phase"): row for row in attribution_rows(replay)},
-        "gauges": replay.gauges(),
     }

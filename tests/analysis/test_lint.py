@@ -68,23 +68,23 @@ def test_sia010_exempts_the_obs_clock_module():
 
 
 def test_sia010_holds_the_rest_of_obs_to_the_rule():
-    # The exemption is clock.py only: telemetry modules in obs/ must
+    # The exemption is clock.py only: every other module in obs/ must
     # route through repro.obs.now() like everyone else.
     from repro.analysis.lint import lint_source
 
     source = "import time\n\n\ndef now():\n    return time.perf_counter()\n"
-    for name in ("heartbeat.py", "ledger.py", "export.py", "top.py"):
+    for name in ("trace.py", "metrics.py", "replay.py", "clocks.py"):
         flagged = lint_source(source, Path(f"src/repro/obs/{name}"))
         assert {f.rule for f in flagged} == {"SIA010"}, name
 
 
 def test_sia010_time_sleep_is_not_a_clock_read():
-    # sleep() consumes time, it does not *read* the clock; the live
-    # `repro top` repaint loop depends on this being legal anywhere.
+    # sleep() consumes time, it does not *read* the clock, so it is
+    # legal anywhere, obs/ included.
     from repro.analysis.lint import lint_source
 
     source = "import time\n\ntime.sleep(0.5)\n"
-    assert lint_source(source, Path("src/repro/obs/top.py")) == []
+    assert lint_source(source, Path("src/repro/obs/trace.py")) == []
     assert lint_source(source, Path("src/repro/bench/x.py")) == []
 
 

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.bench import parallel
-from repro.bench.fullscale import main, run, summarize
-from repro.bench.harness import EfficacyRecord
-from repro.bench.parallel import TelemetryConfig
+from repro.bench.fullscale import load_checkpoint, main, run, summarize
+from repro.bench.harness import EfficacyRecord, record_from_json, record_to_json
+from repro.cli import main as cli_main
 
 
 def test_run_and_summarize(tmp_path, capsys):
@@ -102,15 +102,13 @@ def _stub_sia(calls, fail_on=None):
 
 def test_failed_run_keeps_finished_cells(tmp_path, monkeypatch):
     """Cells are checkpointed as they finish, not when the run returns:
-    a telemetry run whose second query fails keeps the first query's
-    cells, and a rerun computes only the rest."""
+    a run whose second query fails keeps the first query's cells, and a
+    rerun computes only the rest."""
     out = tmp_path / "cells.jsonl"
-    telemetry = TelemetryConfig(directory=tmp_path / "tele", heartbeat_ms=50.0)
     calls: list[int] = []
     monkeypatch.setattr(parallel, "_run_sia_variant", _stub_sia(calls, fail_on=1))
     with pytest.raises(RuntimeError, match="query 1 failed"):
-        run(queries=2, seed=5, out_path=out, techniques=("TC", "SIA"),
-            telemetry=telemetry)
+        run(queries=2, seed=5, out_path=out, techniques=("TC", "SIA"))
     cells = [json.loads(line) for line in out.read_text().splitlines()]
     assert sum(1 for cell in cells if cell["query_index"] == 0) == 14
     assert len(cells) == 15  # plus query 1's first TC cell
@@ -119,3 +117,74 @@ def test_failed_run_keeps_finished_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_run_sia_variant", _stub_sia(calls))
     assert run(queries=2, seed=5, out_path=out, techniques=("TC", "SIA")) == 13
     assert calls == [1] * 7
+
+
+def test_resume_recomputes_a_torn_last_line(tmp_path):
+    """A run killed mid-write leaves a partial final line: resume must
+    not raise, must cut it off rather than append onto it, and must
+    recompute that cell."""
+    out = tmp_path / "cells.jsonl"
+    run(queries=1, seed=5, out_path=out, techniques=("TC",))
+    lines = out.read_text().splitlines(keepends=True)
+    torn = json.loads(lines[3])
+    out.write_text("".join(lines[:3]) + lines[3][:60])
+
+    assert len(load_checkpoint(out)) == 3
+    assert run(queries=1, seed=5, out_path=out, techniques=("TC",)) == 4
+    cells = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(cells) == 7
+    keys = {(c["query_index"], tuple(c["subset"]), c["technique"]) for c in cells}
+    assert (torn["query_index"], tuple(torn["subset"]), torn["technique"]) in keys
+    assert "Table 2 (7 cells)" in summarize(out)
+
+
+def test_deadline_partials_reach_the_checkpoint(tmp_path):
+    out = tmp_path / "cells.jsonl"
+    run(queries=1, seed=9, out_path=out, techniques=("SIA",), deadline_ms=1.0)
+    records = load_checkpoint(out)
+    assert len(records) == 7
+    assert any(r.partial for r in records), "a 1ms budget must expire a cell"
+
+
+def test_checkpoint_cells_carry_their_counters(tmp_path, capsys):
+    """Each SIA cell records its own nonzero solver-counter delta, and
+    ``repro report``'s per-query ``checks`` is the sum over that
+    query's cells."""
+    out = tmp_path / "cells.jsonl"
+    run(queries=2, seed=4, out_path=out, techniques=("SIA", "TC"),
+        deadline_ms=2000.0)
+    cells = [json.loads(line) for line in out.read_text().splitlines()]
+    assert all(value for c in cells for value in c["counters"].values())
+    assert any(c["counters"].get("checks", 0) for c in cells)
+    capsys.readouterr()
+    assert cli_main(["report", str(out), "--json"]) == 0
+    profiles = json.loads(capsys.readouterr().out)["profiles"]
+    assert [row["query"] for row in profiles] == [0, 1]
+    for row in profiles:
+        assert row["checks"] == sum(
+            c["counters"].get("checks", 0)
+            for c in cells
+            if c["query_index"] == row["query"]
+        )
+
+
+def test_checkpoint_line_roundtrips_counters():
+    record = EfficacyRecord(
+        query_index=4, subset=("l_shipdate",), n_cols=1, technique="SIA",
+        possible=True, valid=True, optimal=True,
+        counters={"checks": 41, "pivots": 310},
+    )
+    payload = json.loads(json.dumps(record_to_json(record)))
+    assert payload["counters"] == {"checks": 41, "pivots": 310}
+    assert record_from_json(payload).counters == record.counters
+
+
+def test_old_checkpoint_lines_read_with_defaults():
+    payload = record_to_json(EfficacyRecord(
+        query_index=0, subset=("l_shipdate",), n_cols=1, technique="TC",
+        possible=False, valid=False, optimal=False,
+    ))
+    del payload["partial"], payload["counters"]
+    record = record_from_json(payload)
+    assert record.partial is False
+    assert record.counters == {}

@@ -220,7 +220,7 @@ def test_pool_submits_longest_expected_first(monkeypatch):
             future.set_result(
                 parallel._Batch(
                     index=wq.index, records=[], counters={}, metrics={},
-                    ledger=[], busy_ms=0.0,
+                    busy_ms=0.0,
                 )
             )
             return future

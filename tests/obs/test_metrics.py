@@ -115,39 +115,8 @@ def test_reset_clears_every_table():
     registry.counter("a").inc()
     registry.timer("t").record(1.0)
     registry.histogram("h").record(2.0)
-    registry.gauge("g").set(0.5)
     registry.reset()
     assert registry.summary() == {
-        "counters": {}, "timers": {}, "histograms": {}, "gauges": {},
+        "counters": {}, "timers": {}, "histograms": {},
     }
 
-
-def test_gauge_is_last_write_wins_and_rides_deltas():
-    """Gauges report state, not events: deltas carry only gauges
-    *written* since the snapshot (tracked by write version, so even a
-    rewrite of the same value ships), and merging is last-write-wins
-    in merge order."""
-    registry = MetricsRegistry()
-    before = registry.snapshot()
-    gauge = registry.gauge("pool.utilization")
-    gauge.set(0.25)
-    gauge.set(0.75)
-    assert registry.gauge("pool.utilization") is gauge
-    assert registry.summary()["gauges"] == {"pool.utilization": 0.75}
-    delta = registry.delta_since(before)
-    assert delta["gauges"] == {"pool.utilization": 0.75}
-    # Not written since this snapshot -> absent from the next delta.
-    after = registry.snapshot()
-    assert registry.delta_since(after)["gauges"] == {}
-    # Rewriting the same value still counts as a write.
-    gauge.set(0.75)
-    assert registry.delta_since(after)["gauges"] == {"pool.utilization": 0.75}
-
-
-def test_gauge_delta_merge_is_last_write_wins():
-    total: dict = {}
-    merge_delta(total, {"gauges": {"g": 0.25}})
-    merge_delta(total, {"gauges": {"g": 0.5}, "counters": {"c": 1}})
-    merge_delta(total, {"gauges": {}})
-    assert total["gauges"] == {"g": 0.5}
-    assert total["counters"] == {"c": 1}
