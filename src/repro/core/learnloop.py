@@ -4,6 +4,12 @@ Train a linear SVM on (TRUE, FALSE) samples; if some TRUE samples are
 misclassified, retrain on just those (plus all FALSE samples) and
 disjoin the models, repeating until every TRUE sample is accepted.
 
+In one dimension there is nothing for the SVM to learn but a sign:
+the exact cut below the lowest TRUE score accepts every TRUE sample,
+so Alg. 2 stops after one plane.  ``learn`` then scores both signs in
+exact rationals and keeps the one with the wider margin, without
+training an SVM (``_exact_plane_1d``).
+
 The paper's contract is that Learn returns a predicate classifying all
 TRUE samples correctly.  A linear SVM cannot always make progress on
 degenerate sample sets (e.g. a TRUE point lying inside the convex hull
@@ -48,6 +54,12 @@ def learn(
         raise SynthesisError("Learn requires at least one TRUE sample")
     if not fs:
         raise SynthesisError("Learn requires at least one FALSE sample")
+
+    if len(variables) == 1:
+        # The SVM path draws one seed per plane from the stream the
+        # sampler shares; draw it too so later samples stay the same.
+        rng.randrange(2**31)
+        return DisjunctivePredicate((_exact_plane_1d(ts, fs, variables[0]),))
 
     fs_array = _points_to_array(fs, variables)
     remaining = list(ts)
@@ -110,17 +122,54 @@ def _plane_with_exact_bias(
             Fraction(0),
         )
 
-    min_true = min(score(point) for point in ts)
-    below = [s for s in (score(point) for point in fs) if s < min_true]
-    if below:
-        # Cut exactly at the highest rejected FALSE score: `> cut`
-        # rejects it while accepting every TRUE sample.  (A midpoint
-        # cut would be the classic max-margin choice, but over real
-        # sorts it can never reach the supremum of the feasible
-        # region, so the loop would chase it forever.)
-        cut = max(below)
-    else:
-        cut = min_true - 1
+    cut = _exact_cut(
+        [score(point) for point in ts], [score(point) for point in fs]
+    )
+    return _cut_plane(direction, cut, variables)
+
+
+def _exact_plane_1d(ts: list[Point], fs: list[Point], var: Var) -> Hyperplane:
+    """The one-column plane, chosen exactly instead of by an SVM.
+
+    Each sign s scores a point as ``s * x`` and takes the exact cut of
+    ``_plane_with_exact_bias``.  The sign whose cut rejects some FALSE
+    sample and leaves the wider gap to the lowest TRUE score wins; a
+    tie goes to the sign rejecting more FALSE samples, then to +1.
+    The gap ranks first because a max-margin direction points away
+    from the nearest FALSE samples, not from the most of them; so
+    ranked, the choice matched the SVM's plane on every one-column
+    CEGIS call checked (DESIGN.md #6).
+    """
+    best = None
+    for sign in (1, -1):
+        true_scores = [sign * point[var] for point in ts]
+        false_scores = [sign * point[var] for point in fs]
+        min_true = min(true_scores)
+        cut = _exact_cut(true_scores, false_scores)
+        rejected = sum(1 for score in false_scores if score <= cut)
+        rank = (rejected > 0, min_true - cut, rejected)
+        if best is None or rank > best[0]:
+            best = (rank, sign, cut)
+    _, sign, cut = best
+    return _cut_plane([sign], cut, [var])
+
+
+def _exact_cut(true_scores: list[Fraction], false_scores: list[Fraction]) -> Fraction:
+    """The highest FALSE score below the lowest TRUE score, else one
+    below the lowest TRUE score: ``score > cut`` accepts every TRUE
+    sample and rejects every FALSE sample this direction can."""
+    min_true = min(true_scores)
+    below = [score for score in false_scores if score < min_true]
+    # Cut exactly at the highest rejected FALSE score: `> cut` rejects
+    # it while accepting every TRUE sample.  (A midpoint cut would be
+    # the classic max-margin choice, but over real sorts it can never
+    # reach the supremum of the feasible region, so the loop would
+    # chase it forever.)
+    return max(below) if below else min_true - 1
+
+
+def _cut_plane(direction: list[int], cut: Fraction, variables: list[Var]) -> Hyperplane:
+    """The plane ``direction . x > cut`` with integer coefficients."""
     # w.x > cut  <=>  (d*w).x - d*cut > 0 with d clearing the denominator.
     denom = cut.denominator
     coeffs = tuple(

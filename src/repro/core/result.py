@@ -5,7 +5,8 @@ The timing breakdown follows Table 3 of the paper:
 * generation time -- obtaining initial samples and counter-example
   samples from the solver (including the quantifier-elimination work
   for the unsatisfaction region),
-* learning time -- SVM training,
+* learning time -- Learn (Alg. 2): SVM training over two or more
+  columns, the exact closed-form choice over one,
 * validation time -- checking validity of a learned predicate and
   optimality of a valid one with the solver.
 """

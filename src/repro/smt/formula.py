@@ -355,9 +355,12 @@ def lt(lhs: LinExpr, rhs: LinExpr) -> Formula:
 #: Memoized NNF results, keyed on the (interned) input node.  The key
 #: is held weakly so the cache never outlives the formulas themselves;
 #: the inner dict is keyed on ``split_ne``.
-_NNF_CACHE: "weakref.WeakKeyDictionary[Formula, dict[bool, Formula]]" = (
+_NNF_CACHE: "weakref.WeakKeyDictionary[Formula, dict[bool, object]]" = (
     weakref.WeakKeyDictionary()
 )
+#: Cached in place of a result that is the input node itself: a value
+#: holding its own key strongly would keep the entry alive forever.
+_UNCHANGED = object()
 
 
 def to_nnf(formula: Formula, *, split_ne: bool = True) -> Formula:
@@ -377,13 +380,15 @@ def to_nnf(formula: Formula, *, split_ne: bool = True) -> Formula:
     per_node = _NNF_CACHE.get(formula)
     if per_node is not None:
         cached = per_node.get(split_ne)
+        if cached is _UNCHANGED:
+            return formula
         if cached is not None:
             return cached
     result = _nnf(formula, negated=False, split_ne=split_ne)
     if per_node is None:
         per_node = {}
         _NNF_CACHE[formula] = per_node
-    per_node[split_ne] = result
+    per_node[split_ne] = _UNCHANGED if result is formula else result
     return result
 
 

@@ -11,7 +11,7 @@ import pickle
 from fractions import Fraction
 
 from repro.smt import Atom, LE, LT, LinExpr, Var, conj, disj
-from repro.smt.formula import And, BVar, Not, Or, to_nnf
+from repro.smt.formula import _NNF_CACHE, And, BVar, Not, Or, to_nnf
 from repro.smt.terms import INT, REAL
 
 
@@ -79,6 +79,27 @@ def test_intern_tables_do_not_leak_across_sessions():
         if var.name.startswith("__leak_")
     ]
     assert not leaked_exprs
+
+
+def test_nnf_cache_does_not_pin_its_inputs():
+    """An atom already in NNF is its own NNF; caching that result must
+    not keep the atom (and its LinExpr) alive once nothing else does."""
+
+    def normalize():
+        vars_ = [Var(f"__nnf_leak_{i}") for i in range(40)]
+        atoms = [Atom(LinExpr({v: 1}, i), LE) for i, v in enumerate(vars_)]
+        for atom in atoms:
+            assert to_nnf(atom) is atom
+        # A second call is served from the cache.
+        assert all(to_nnf(atom) is atom for atom in atoms)
+
+    gc.collect()
+    cache_before, atoms_before = len(_NNF_CACHE), len(Atom._intern)
+    normalize()
+    gc.collect()
+    assert len(_NNF_CACHE) <= cache_before
+    assert len(Atom._intern) <= atoms_before
+    assert not [name for name, _ in Var._intern if name.startswith("__nnf_leak_")]
 
 
 def test_interned_nodes_hash_consistently():
