@@ -13,7 +13,7 @@ sanctioned exception can carry a multi-line justification::
 
     # sia: allow-float -- documented learn-boundary crossing: the SVM
     # is float-native; rationalization restores exactness downstream.
-    bias = float(w[dim] * bias_scale)
+    bias = float(w[dim] * BIAS_SCALE)
 
 Free-form prose may also follow an inline pragma after ``--``.
 """

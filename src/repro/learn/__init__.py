@@ -1,6 +1,6 @@
 """Learning substrate: linear SVM and exact hyperplane predicates."""
 
-from .hyperplane import DisjunctivePredicate, Hyperplane, hyperplane_from_floats
+from .hyperplane import DisjunctivePredicate, Hyperplane
 from .rationalize import rationalize_weights
 from .svm import SvmModel, train_linear_svm
 
@@ -8,7 +8,6 @@ __all__ = [
     "DisjunctivePredicate",
     "Hyperplane",
     "SvmModel",
-    "hyperplane_from_floats",
     "rationalize_weights",
     "train_linear_svm",
 ]

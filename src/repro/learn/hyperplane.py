@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import math
 
@@ -193,21 +193,3 @@ class DisjunctivePredicate:
     def __str__(self) -> str:
         return " OR ".join(str(plane) for plane in self.planes)
 
-
-def hyperplane_from_floats(
-    variables: Sequence[Var],
-    weights,
-    bias: float,
-    *,
-    max_denominator: int = 64,
-) -> Hyperplane | None:
-    """Build an exact hyperplane from SVM output; None if degenerate."""
-    from .rationalize import rationalize_weights
-
-    int_weights, int_bias = rationalize_weights(
-        weights, bias, max_denominator=max_denominator
-    )
-    if all(weight == 0 for weight in int_weights):
-        return None
-    coeffs = tuple(zip(tuple(variables), (int(w) for w in int_weights)))
-    return Hyperplane(coeffs, int(int_bias))

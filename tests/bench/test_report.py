@@ -133,16 +133,21 @@ def test_load_checkpoint_rejects_a_bad_middle_line(tmp_path):
         load_checkpoint(path)
 
 
-def test_report_reads_committed_pre_counters_checkpoint(capsys):
-    """Checkpoints written before cells carried ``counters`` (or
-    ``partial``) still render."""
-    assert "counters" not in COMMITTED_8Q.read_text()
-    assert main(["report", str(COMMITTED_8Q)]) == 0
-    out = capsys.readouterr().out.rstrip("\n")
-    assert out.endswith(
-        "224 cells over 8 queries: 63 valid, 40 optimal, 0 partial"
-    )
-    assert main(["report", str(COMMITTED_8Q), "--json"]) == 0
+def test_report_reads_committed_pre_counters_checkpoint(tmp_path, capsys):
+    """The committed checkpoint renders, and so does the same file as
+    written before cells carried ``counters`` and ``partial``."""
+    cells = [json.loads(line) for line in COMMITTED_8Q.read_text().splitlines()]
+    for cell in cells:
+        del cell["counters"], cell["partial"]
+    pre_counters = tmp_path / "pre_counters.jsonl"
+    pre_counters.write_text("".join(json.dumps(cell) + "\n" for cell in cells))
+    for path in (COMMITTED_8Q, pre_counters):
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out.rstrip("\n")
+        assert out.endswith(
+            "224 cells over 8 queries: 66 valid, 36 optimal, 0 partial"
+        )
+    assert main(["report", str(pre_counters), "--json"]) == 0
     profiles = json.loads(capsys.readouterr().out)["profiles"]
     assert len(profiles) == 8
     assert all(row["checks"] == 0 for row in profiles)

@@ -10,7 +10,6 @@ from repro.errors import SynthesisError
 from repro.learn import (
     DisjunctivePredicate,
     Hyperplane,
-    hyperplane_from_floats,
     rationalize_weights,
 )
 from repro.predicates import (
@@ -50,10 +49,6 @@ def test_rationalize_all_zero():
     weights, bias = rationalize_weights(np.array([0.0, 0.0]), 0.0)
     assert weights == [0, 0]
     assert bias == 0
-
-
-def test_hyperplane_from_floats_degenerate():
-    assert hyperplane_from_floats([Var("x")], np.array([0.0]), 0.0) is None
 
 
 def test_hyperplane_rejects_all_zero_weights():
