@@ -14,13 +14,12 @@ The catalog is split in bands:
 * ``SIA2xx`` -- semantic soundness obligations discharged through the
   SMT solver (:mod:`repro.analysis.soundness`),
 * ``SIA3xx`` -- solver-run audits: defects found while independently
-  checking proof logs (:mod:`repro.analysis.certify`),
-* ``SIA4xx`` -- interprocedural dataflow findings
-  (:mod:`repro.analysis.flow`): facts that require following paths
-  through the CFG and calls across modules.
+  checking proof logs (:mod:`repro.analysis.certify`).
 
-The ``SIA5xx`` band (a whole-program concurrency analyzer) is retired;
-its identifiers are not reused.
+Two bands are retired and their identifiers are not reused: ``SIA4xx``
+(an interprocedural dataflow analyzer: float taint, determinism and
+resource lifecycle) and ``SIA5xx`` (a whole-program concurrency
+analyzer).
 """
 
 from __future__ import annotations
@@ -160,28 +159,6 @@ RULE_CATALOG: dict[str, RuleInfo] = {
             "a theory lemma carries no certificate or the verdict rests "
             "on a budget-blocking clause; the UNSAT answer is not "
             "certifiable",
-        ),
-        RuleInfo(
-            "SIA401",
-            "float-tainted value reaches an exact-zone call",
-            "a float produced in general code flows through assignments "
-            "and calls into a repro.smt/repro.predicates function; "
-            "convert to Fraction at the source or sanction a documented "
-            "boundary with '# sia: allow-float'",
-        ),
-        RuleInfo(
-            "SIA402",
-            "nondeterminism flows into persisted output or merge order",
-            "seed the RNG on every path (or use random.Random(seed)), "
-            "sort set iterations, and never use id() in keys that reach "
-            "perflog rows, traces or merge order",
-        ),
-        RuleInfo(
-            "SIA403",
-            "resource may not be released on every path",
-            "an SmtSession scope, tracer or file handle leaks on some "
-            "normal or exceptional path; use 'try/finally: retract()/"
-            "close()' or a with-block",
         ),
     )
 }

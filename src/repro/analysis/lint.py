@@ -14,10 +14,9 @@ file and enforces them directly:
   be explicitly sanctioned with ``# sia: allow-float`` so the set of
   crossings stays auditable.  Two file-scoped exceptions:
   ``smt/floatsimplex.py`` is the *float-tier zone* (the sanctioned
-  float tableau of the two-tier backend, exempt from the purity rules
-  but still a taint source the flow pass tracks), and
-  ``analysis/certify.py`` is promoted *into* the exact zone (the
-  certificate auditor must stay Fraction-pure even though it lives
+  float tableau of the two-tier backend, exempt from the purity
+  rules), and ``analysis/certify.py`` is promoted *into* the exact zone
+  (the certificate auditor must stay Fraction-pure even though it lives
   outside ``smt/``).
 
 * **Dynamic evaluation and exception hygiene** (SIA004/SIA005),
@@ -85,14 +84,12 @@ _BOUNDARY_PARTS = frozenset({"learn"})
 # (repro.smt.backend): machine-float cells and epsilon guards are its
 # whole point, so the exact-purity rules (SIA001/002/003) do not apply
 # inside it.  The carve-out is file-scoped, not directory-scoped: every
-# *other* module under smt/ stays exact, and the flow layer treats the
-# float tier as ordinary (non-sink) code, so float taint *escaping* it
-# into exact-zone modules is still a SIA401 finding.
+# *other* module under smt/ stays exact.
 _FLOAT_TIER_FILES = frozenset({"floatsimplex.py"})
 # Exact-zone promotion by file name: the certificate auditor lives
 # under analysis/ but consumes Farkas certificates that must be pure
-# Fraction arithmetic end-to-end, so float taint reaching it is flagged
-# exactly as if it crossed into smt/.
+# Fraction arithmetic end-to-end, so SIA001-003 hold in it exactly as
+# under smt/.
 _EXACT_FILES = frozenset({"certify.py"})
 _EXACT_FILE_PARENTS = frozenset({"analysis"})
 

@@ -2,7 +2,7 @@
 
 A pragma is a source comment of one of the forms::
 
-    # sia: allow-float          -- suppresses SIA001/SIA002/SIA003/SIA401
+    # sia: allow-float          -- suppresses SIA001/SIA002/SIA003
     # sia: allow-mutation       -- suppresses SIA006
     # sia: allow(SIA004,SIA005) -- suppresses the listed rule ids
 
@@ -26,7 +26,7 @@ _PRAGMA_RE = re.compile(
     r"#\s*sia:\s*(allow-float|allow-mutation|allow\(([A-Z0-9,\s]+)\))"
 )
 
-_FLOAT_RULES = frozenset({"SIA001", "SIA002", "SIA003", "SIA401"})
+_FLOAT_RULES = frozenset({"SIA001", "SIA002", "SIA003"})
 _MUTATION_RULES = frozenset({"SIA006"})
 
 

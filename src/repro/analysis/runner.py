@@ -8,9 +8,7 @@
    (:mod:`repro.analysis.invariants`),
 3. the null-soundness pass discharging each rule's obligation through
    the SMT solver (:mod:`repro.analysis.soundness`),
-4. (opt-in, ``flow=True``) the interprocedural dataflow passes
-   (:mod:`repro.analysis.flow`),
-5. (opt-in, ``certify=True``) the proof-certification pass: every
+4. (opt-in, ``certify=True``) the proof-certification pass: every
    registry obligation is re-run with ``Solver(proof=True)`` and the
    resulting proof log is replayed by the independent auditor
    (:mod:`repro.analysis.certify`).
@@ -47,7 +45,6 @@ class AnalysisReport:
 
     findings: list[Finding] = field(default_factory=list)
     files_linted: int = 0
-    files_flowed: int = 0
     rules_checked: int = 0
     obligations_discharged: int = 0
     proofs_audited: int = 0
@@ -69,7 +66,6 @@ class AnalysisReport:
             "clean": self.clean,
             "summary": {
                 "files_linted": self.files_linted,
-                "files_flowed": self.files_flowed,
                 "rules_checked": self.rules_checked,
                 "obligations_discharged": self.obligations_discharged,
                 "proofs_audited": self.proofs_audited,
@@ -83,40 +79,27 @@ class AnalysisReport:
 def run_analysis(
     paths: list[str] | None = None,
     *,
-    lint: bool = True,
-    flow: bool = False,
     domain: bool = True,
     certify: bool = False,
 ) -> AnalysisReport:
     """Run the configured passes and return the aggregated report.
 
-    ``paths`` feeds the lint and flow passes (default: ``src``).
-    ``flow=True`` additionally runs the interprocedural dataflow
-    analyses (SIA401 float taint, SIA402 determinism, SIA403 resource
-    lifecycle) over the same file set.  The domain passes (invariants +
-    soundness over the rewrite-rule registry) are path-independent;
-    disable them with ``domain=False`` when linting fixture trees.  ``certify=True`` additionally re-runs
-    every registry obligation with proof logging on and audits the
-    logs.
+    ``paths`` feeds the lint pass (default: ``src``).  The domain
+    passes (invariants + soundness over the rewrite-rule registry) are
+    path-independent; disable them with ``domain=False`` when linting
+    fixture trees.  ``certify=True`` additionally re-runs every
+    registry obligation with proof logging on and audits the logs.
     """
     report = AnalysisReport()
-    if lint or flow:
-        resolved: list[Path] = []
-        for raw in paths or ["src"]:
-            path = Path(raw)
-            if not path.exists():
-                raise AnalysisError(f"no such file or directory: {raw}")
-            resolved.append(path)
-    if lint:
-        findings, files = lint_paths(resolved)
-        report.findings.extend(findings)
-        report.files_linted = files
-    if flow:
-        from .flow import flow_paths
-
-        findings, files = flow_paths(resolved)
-        report.findings.extend(findings)
-        report.files_flowed = files
+    resolved: list[Path] = []
+    for raw in paths or ["src"]:
+        path = Path(raw)
+        if not path.exists():
+            raise AnalysisError(f"no such file or directory: {raw}")
+        resolved.append(path)
+    findings, files = lint_paths(resolved)
+    report.findings.extend(findings)
+    report.files_linted = files
     if domain:
         soundness = check_registry()
         report.findings.extend(soundness.findings)
@@ -185,12 +168,7 @@ def render_text(report: AnalysisReport, *, fix_hints: bool = False) -> str:
     ]
     summary = (
         f"analyzed {report.files_linted} file(s), "
-        + (
-            f"flow-analyzed {report.files_flowed} file(s), "
-            if report.files_flowed
-            else ""
-        )
-        + f"verified {report.rules_checked} rewrite rule(s) "
+        f"verified {report.rules_checked} rewrite rule(s) "
         f"({report.obligations_discharged} solver obligation(s)"
         + (
             f", {report.proofs_audited} proof(s) audited"

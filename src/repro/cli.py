@@ -249,12 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append a remediation hint to each finding",
     )
     analyze.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the interprocedural dataflow passes "
-        "(SIA401 float taint, SIA402 determinism, SIA403 lifecycle)",
-    )
-    analyze.add_argument(
         "--skip-domain",
         action="store_true",
         help="lint only; skip the rewrite-rule soundness pass",
@@ -307,7 +301,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         report = run_analysis(
             args.paths,
-            flow=args.flow,
             domain=not args.skip_domain,
             certify=args.certify,
         )

@@ -52,12 +52,12 @@ class SiaConfig:
     # micro-benchmarks can measure warm vs. cold.
     warm_sessions: bool = True
     # Two-tier tableau backend (repro.smt.backend): "off" runs the
-    # exact Fraction simplex alone (the historical path); "filter"
-    # runs a float-arithmetic tableau first and uses its UNSAT
-    # verdicts -- after exact re-derivation of the certificate -- to
-    # skip exact pivoting; "filter+trust-sat" additionally accepts
-    # float SAT candidates once they model-check in exact arithmetic.
-    # All three modes produce identical verdicts and exact-Fraction
+    # exact Fraction simplex alone (the historical path);
+    # "filter+trust-sat" runs a float-arithmetic tableau first, uses
+    # its UNSAT verdicts -- after exact re-derivation of the
+    # certificate -- to skip exact pivoting, and accepts its SAT
+    # candidates once they model-check in exact arithmetic.  Both
+    # modes produce identical verdicts and exact-Fraction
     # certificates (the differential suite in
     # tests/smt/test_two_tier.py proves it); the knob trades float-tier
     # throughput against pure-exact predictability.  The

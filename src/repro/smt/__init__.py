@@ -14,13 +14,11 @@ substitution table).  Public surface:
 * warm sessions: :class:`SmtSession`, :class:`Scope` (activation-literal
   incrementality), :data:`GLOBAL_COUNTERS` instrumentation
 * two-tier tableau: :class:`TableauBackend`, ``check_tableau`` and the
-  float-filter mode constants (``FLOAT_OFF`` / ``FLOAT_FILTER`` /
-  ``FLOAT_TRUST_SAT``); the float tier itself is
-  :class:`~repro.smt.floatsimplex.FloatSimplex`
+  float-filter mode constants (``FLOAT_OFF`` / ``FLOAT_TRUST_SAT``);
+  the float tier itself is :class:`~repro.smt.floatsimplex.FloatSimplex`
 """
 
 from .backend import (
-    FLOAT_FILTER,
     FLOAT_MODES,
     FLOAT_OFF,
     FLOAT_TRUST_SAT,
@@ -91,7 +89,6 @@ __all__ = [
     "EliminationResult",
     "EQ",
     "FALSE",
-    "FLOAT_FILTER",
     "FLOAT_MODES",
     "FLOAT_OFF",
     "FLOAT_TRUST_SAT",

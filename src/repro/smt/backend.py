@@ -11,8 +11,9 @@ module makes the tableau pluggable and adds the fast tier in front:
   instances.
 * :func:`check_tableau` -- the orchestrator every LRA feasibility
   check routes through (:func:`repro.smt.theory._lra_check`).  Mode
-  ``off`` is the historical exact-only path.  In the filter modes the
-  float tier runs first and its verdict is **advisory**:
+  ``off`` is the historical exact-only path.  In mode
+  ``filter+trust-sat`` the float tier runs first and its verdict is
+  **advisory**:
 
   - float-UNSAT hands the suspected Farkas row set (conflict tags) to
     the exact tier, which re-derives the certificate from Fractions by
@@ -21,9 +22,8 @@ module makes the tableau pluggable and adds the fast tier in front:
     carries an exact-Fraction Farkas witness -- the proof/certify
     layer never sees a float.
   - float-SAT is confirmed by snapping the candidate onto exact bound
-    values and model-checking every constraint in Fractions (mode
-    ``filter+trust-sat``), or conservatively re-solved exactly (mode
-    ``filter``).
+    values and model-checking every constraint in Fractions; a
+    candidate that fails the check is re-solved exactly.
 
 Mode selection threads down from :class:`repro.core.config.SiaConfig`
 (``float_filter``) through ``Solver``/``SmtSession``; the
@@ -61,7 +61,6 @@ Tag = Hashable
 
 __all__ = [
     "FLOAT_OFF",
-    "FLOAT_FILTER",
     "FLOAT_TRUST_SAT",
     "FLOAT_MODES",
     "FLOAT_MODE_ENV",
@@ -72,13 +71,11 @@ __all__ = [
 
 #: Exact-only: the historical single-tier path.
 FLOAT_OFF = "off"
-#: Float tier filters; float-SAT still re-solves exactly from scratch.
-FLOAT_FILTER = "filter"
-#: Additionally trust float-SAT *hints*: snap the candidate model onto
-#: exact values and accept it once it model-checks in Fractions.
+#: Float tier filters; float-SAT candidates are snapped onto exact
+#: values and accepted once they model-check in Fractions.
 FLOAT_TRUST_SAT = "filter+trust-sat"
 
-FLOAT_MODES = (FLOAT_OFF, FLOAT_FILTER, FLOAT_TRUST_SAT)
+FLOAT_MODES = (FLOAT_OFF, FLOAT_TRUST_SAT)
 
 #: Environment override: forces the mode at every construction site.
 FLOAT_MODE_ENV = "SIA_FLOAT_FILTER"
@@ -298,17 +295,16 @@ def check_tableau(
         return _timed_exact(constraints, "smt.tier.fallback_ms")
 
     assert candidate is not None
-    if float_mode == FLOAT_TRUST_SAT:
-        confirm_start = _clock_now()
-        model = _confirm_sat(constraints, tableau, candidate)
-        GLOBAL_METRICS.timer("smt.tier.exact_ms").record(
-            (_clock_now() - confirm_start) * 1000
-        )
-        if model is not None:
-            GLOBAL_COUNTERS.float_sat_confirmed += 1
-            return model
-        # Candidate failed the exact model check: the float tier was
-        # wrong (or merely imprecise); count it and re-solve exactly.
-        GLOBAL_COUNTERS.tier_disagreements += 1
+    confirm_start = _clock_now()
+    model = _confirm_sat(constraints, tableau, candidate)
+    GLOBAL_METRICS.timer("smt.tier.exact_ms").record(
+        (_clock_now() - confirm_start) * 1000
+    )
+    if model is not None:
+        GLOBAL_COUNTERS.float_sat_confirmed += 1
+        return model
+    # Candidate failed the exact model check: the float tier was wrong
+    # (or merely imprecise); count it and re-solve exactly.
+    GLOBAL_COUNTERS.tier_disagreements += 1
     GLOBAL_COUNTERS.tier_fallbacks += 1
     return _timed_exact(constraints, "smt.tier.fallback_ms")

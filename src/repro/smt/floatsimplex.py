@@ -35,7 +35,7 @@ SAT candidate.
 # sia: allow-float -- this entire module is the sanctioned float tier:
 # machine-float tableau cells and epsilon guards are its whole point.
 # The lint layer carves it out of the exact zone (FLOAT_TIER_ZONE in
-# repro.analysis.lint); float escape into proof/certify is still SIA401.
+# repro.analysis.lint); every other smt/ module stays exact.
 
 from __future__ import annotations
 

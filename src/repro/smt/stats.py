@@ -35,8 +35,7 @@ parallel workload driver snapshot around their workloads:
   (a bogus conflict or a candidate that failed the exact model check);
   each one is silently corrected by a full exact solve,
 * ``tier_fallbacks`` -- float-tier checks that ended in a full exact
-  solve for any reason (give-up, disagreement, or ``filter`` mode's
-  conservative SAT path).
+  solve for any reason (give-up or disagreement).
 
 **Counting semantics** (pinned by ``tests/smt/test_counter_semantics.py``):
 ``checks`` counts *every* top-level ``Solver.check`` call, wherever it

@@ -88,3 +88,38 @@ def test_smt_spans_flag_adds_per_check_spans(tmp_path):
     verbose_names = {span.name for span in load_trace(verbose).spans.values()}
     assert "smt.check" not in quiet_names
     assert "smt.check" in verbose_names
+
+
+def test_sink_closed_when_tracer_construction_fails(tmp_path, monkeypatch):
+    # If Tracer(...) raises, the file install_file_tracer opened must be
+    # closed and the previously installed tracer must stay in place.
+    import io
+
+    import pytest
+
+    import repro.obs as obs
+    from repro.obs.trace import Tracer, get_tracer, set_tracer
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    def failing_tracer(*args, **kwargs):
+        raise RuntimeError("tracer construction failed")
+
+    monkeypatch.setattr(obs, "open", recording_open, raising=False)
+    monkeypatch.setattr(obs, "Tracer", failing_tracer)
+    previous = Tracer(io.StringIO())
+    original = set_tracer(previous)
+    try:
+        with pytest.raises(RuntimeError, match="construction failed"):
+            with install_file_tracer(tmp_path / "t.jsonl"):
+                pass
+        assert len(opened) == 1
+        assert opened[0].closed
+        assert get_tracer() is previous
+    finally:
+        set_tracer(original)

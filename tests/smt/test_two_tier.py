@@ -30,7 +30,6 @@ from repro.smt import (
     is_satisfiable,
 )
 from repro.smt.backend import (
-    FLOAT_FILTER,
     FLOAT_MODES,
     FLOAT_OFF,
     FLOAT_TRUST_SAT,
@@ -49,8 +48,6 @@ Z = Var("z", REAL)
 ex = LinExpr.var(X)
 ey = LinExpr.var(Y)
 ez = LinExpr.var(Z)
-
-FILTER_MODES = [FLOAT_FILTER, FLOAT_TRUST_SAT]
 
 
 @pytest.fixture(autouse=True)
@@ -113,15 +110,22 @@ def test_epsilon_straddling_bounds_float_misses_unsat():
     # tier's lenient epsilon, so it sees the bounds as touching.
     gap = Fraction(1, 10**12)
     atoms = [Atom(ex - 5, LE), Atom((5 + gap) - ex, LE)]
-    before = GLOBAL_COUNTERS.tier_disagreements
     for mode in FLOAT_MODES:
         kind, payload = _verdict(atoms, mode)
         assert kind == "unsat", mode
         _assert_exact_conflict(payload, atoms)
-    # The float tier answered SAT; plain ``filter`` mode just re-solves
-    # (no confirmation, no disagreement recorded), but ``trust-sat``
-    # mode catches the candidate failing the exact model check.
-    assert GLOBAL_COUNTERS.tier_disagreements >= before + 1
+    # The float tier answers SAT; its snapped candidate fails the exact
+    # model check, so the orchestrator records one disagreement and
+    # re-solves exactly (the only path from a float-SAT candidate to an
+    # exact UNSAT verdict).
+    disagreements = GLOBAL_COUNTERS.tier_disagreements
+    fallbacks = GLOBAL_COUNTERS.tier_fallbacks
+    confirmed = GLOBAL_COUNTERS.float_sat_confirmed
+    kind, _ = _verdict(atoms, FLOAT_TRUST_SAT)
+    assert kind == "unsat"
+    assert GLOBAL_COUNTERS.tier_disagreements == disagreements + 1
+    assert GLOBAL_COUNTERS.tier_fallbacks == fallbacks + 1
+    assert GLOBAL_COUNTERS.float_sat_confirmed == confirmed
 
 
 def test_near_degenerate_pivot_float_misses_sat():
@@ -134,11 +138,10 @@ def test_near_degenerate_pivot_float_misses_sat():
         Atom(ex - 1, LE),
     ]
     before = GLOBAL_COUNTERS.tier_disagreements
-    for mode in FILTER_MODES:
-        kind, model = _verdict(atoms, mode)
-        assert kind == "sat", mode
-        assert all(_holds(atom, model) for atom in atoms)
-    assert GLOBAL_COUNTERS.tier_disagreements >= before + 2
+    kind, model = _verdict(atoms, FLOAT_TRUST_SAT)
+    assert kind == "sat"
+    assert all(_holds(atom, model) for atom in atoms)
+    assert GLOBAL_COUNTERS.tier_disagreements >= before + 1
 
 
 def test_lying_float_tier_is_refuted(monkeypatch):
@@ -155,7 +158,7 @@ def test_lying_float_tier_is_refuted(monkeypatch):
     monkeypatch.setattr(backend_mod, "FloatSimplex", LyingSimplex)
     atoms = [Atom(1 - ex, LE), Atom(ex - 3, LE)]
     before = GLOBAL_COUNTERS.tier_disagreements
-    kind, model = _verdict(atoms, FLOAT_FILTER)
+    kind, model = _verdict(atoms, FLOAT_TRUST_SAT)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     assert GLOBAL_COUNTERS.tier_disagreements == before + 1
@@ -167,7 +170,7 @@ def test_lying_float_tier_is_refuted(monkeypatch):
 def test_unsat_confirmation_reuses_suspected_core():
     atoms = [Atom(ex - 1, LE), Atom(2 - ex, LE), Atom(ey - 7, LE)]
     before = GLOBAL_COUNTERS.float_unsat_confirmed
-    kind, conflict = _verdict(atoms, FLOAT_FILTER)
+    kind, conflict = _verdict(atoms, FLOAT_TRUST_SAT)
     assert kind == "unsat"
     # The irrelevant y bound (tag 3) must not pollute the core.
     assert set(conflict.core) == {1, 2}
@@ -197,7 +200,7 @@ def test_give_up_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(fs, "_MAX_PIVOTS", 0)
     atoms = [Atom(2 - (ex + ey), LE), Atom(ex - 1, LE), Atom(ey - 1, LE)]
     before = GLOBAL_COUNTERS.tier_fallbacks
-    kind, model = _verdict(atoms, FLOAT_FILTER)
+    kind, model = _verdict(atoms, FLOAT_TRUST_SAT)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     assert GLOBAL_COUNTERS.tier_fallbacks == before + 1
@@ -232,13 +235,12 @@ def test_differential_fuzz_conjunction_verdicts_tier_independent():
         kinds = {kind for kind, _ in results.values()}
         assert len(kinds) == 1, f"verdicts diverged on {atoms}: {results}"
         (kind, _) = results[FLOAT_OFF]
-        for mode in FILTER_MODES:
-            _, payload = results[mode]
-            if kind == "sat":
-                assert all(_holds(atom, payload) for atom in atoms)
-            else:
-                _assert_exact_conflict(payload, atoms)
-                disagreements += 1
+        _, payload = results[FLOAT_TRUST_SAT]
+        if kind == "sat":
+            assert all(_holds(atom, payload) for atom in atoms)
+        else:
+            _assert_exact_conflict(payload, atoms)
+            disagreements += 1
     assert disagreements  # the fuzz actually exercised UNSAT paths
 
 
@@ -272,15 +274,17 @@ def test_resolve_float_mode_validates():
     assert resolve_float_mode(FLOAT_TRUST_SAT) == FLOAT_TRUST_SAT
     with pytest.raises(ValueError):
         resolve_float_mode("sometimes")
+    with pytest.raises(ValueError):
+        resolve_float_mode("filter")
 
 
 def test_env_override_forces_mode(monkeypatch):
     monkeypatch.setenv("SIA_FLOAT_FILTER", FLOAT_OFF)
     assert resolve_float_mode(FLOAT_TRUST_SAT) == FLOAT_OFF
-    monkeypatch.setenv("SIA_FLOAT_FILTER", FLOAT_FILTER)
-    assert resolve_float_mode(None) == FLOAT_FILTER
+    monkeypatch.setenv("SIA_FLOAT_FILTER", FLOAT_TRUST_SAT)
+    assert resolve_float_mode(None) == FLOAT_TRUST_SAT
     before = GLOBAL_COUNTERS.float_checks
-    solver = Solver()  # env says "filter": the float tier must run
+    solver = Solver()  # env turns the float tier on: it must run
     solver.add(Atom(ex - 1, LE))
     assert solver.check() == SAT
     assert GLOBAL_COUNTERS.float_checks > before
