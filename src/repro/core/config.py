@@ -53,12 +53,13 @@ class SiaConfig:
     warm_sessions: bool = True
     # Two-tier tableau backend (repro.smt.backend): "off" runs the
     # exact Fraction simplex alone (the historical path);
-    # "filter+trust-sat" runs a float-arithmetic tableau first, uses
-    # its UNSAT verdicts -- after exact re-derivation of the
-    # certificate -- to skip exact pivoting, and accepts its SAT
-    # candidates once they model-check in exact arithmetic.  Both
-    # modes produce identical verdicts and exact-Fraction
-    # certificates (the differential suite in
+    # "filter+trust-sat" runs a float-arithmetic tableau first on
+    # every check whose tableau has a row (row-free checks are only
+    # bounds and go to the exact tier directly), uses its UNSAT
+    # verdicts -- after exact re-derivation of the certificate -- to
+    # skip exact pivoting, and accepts its SAT candidates once they
+    # model-check in exact arithmetic.  Both modes produce identical
+    # verdicts and exact-Fraction certificates (the differential suite in
     # tests/smt/test_two_tier.py proves it); the knob trades float-tier
     # throughput against pure-exact predictability.  The
     # SIA_FLOAT_FILTER environment variable overrides this at every

@@ -130,7 +130,7 @@ class Sampler:
         # retractable scope, so a single warm CDCL instance covers both
         # the boxed search and the unboxed fallback (historically two
         # separate solvers, rebuilt per call).
-        enumerator = _IncrementalEnumerator(
+        enumerator = IncrementalEnumerator(
             base, variables, all_known, self.config, with_box=True
         )
 
@@ -262,10 +262,6 @@ class IncrementalEnumerator:
     def close(self) -> None:
         """Close the session (retracts the box scope).  Idempotent."""
         self.session.close()
-
-
-# Backwards-compatible alias used inside Sampler.
-_IncrementalEnumerator = IncrementalEnumerator
 
 
 def enumerate_all(

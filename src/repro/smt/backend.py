@@ -12,8 +12,10 @@ module makes the tableau pluggable and adds the fast tier in front:
 * :func:`check_tableau` -- the orchestrator every LRA feasibility
   check routes through (:func:`repro.smt.theory._lra_check`).  Mode
   ``off`` is the historical exact-only path.  In mode
-  ``filter+trust-sat`` the float tier runs first and its verdict is
-  **advisory**:
+  ``filter+trust-sat`` the float tier runs first on every tableau
+  with a row (a constraint over two or more variables; a row-free
+  conjunction is only bounds, so it goes straight to the exact tier),
+  and its verdict is **advisory**:
 
   - float-UNSAT hands the suspected Farkas row set (conflict tags) to
     the exact tier, which re-derives the certificate from Fractions by
@@ -241,6 +243,17 @@ def _confirm_sat(
 # ----------------------------------------------------------------------
 # Orchestrator
 # ----------------------------------------------------------------------
+def _has_row(constraints: Sequence[tuple[Atom, Tag]]) -> bool:
+    """Whether some constraint spans two or more variables.
+
+    Without one the tableau has no rows: the exact simplex only
+    asserts bounds (its model clamps 0 into each variable's bounds,
+    its conflict is the first crossing pair) and cannot pivot, so the
+    float tier has nothing to filter.
+    """
+    return any(len(atom.expr.coeffs) > 1 for atom, _tag in constraints)
+
+
 def check_tableau(
     constraints: Sequence[tuple[Atom, Tag]],
     *,
@@ -251,9 +264,10 @@ def check_tableau(
     Returns an exact delta-rational assignment or raises
     :class:`TheoryConflict` carrying an exact Farkas witness --
     identical contract to the historical direct-simplex path,
-    whichever tier did the work.
+    whichever tier did the work.  Row-free conjunctions go straight to
+    the exact tier in every mode.
     """
-    if float_mode == FLOAT_OFF:
+    if float_mode == FLOAT_OFF or not _has_row(constraints):
         return _exact_check(constraints)
 
     GLOBAL_COUNTERS.float_checks += 1

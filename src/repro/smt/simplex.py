@@ -92,6 +92,29 @@ def _describe_atom(
     return ("bound", scale, rhs, atom.op == LT)
 
 
+#: One bound an atom asserts on its slack: ``(value, mu)`` as stored in
+#: :class:`_Bound`.
+_BoundSpec = tuple[DeltaRational, Fraction]
+
+
+@functools.lru_cache(maxsize=262_144)
+def _exact_bounds(
+    atom: Atom,
+) -> tuple[frozenset[tuple[Var, Fraction]], _BoundSpec | None, _BoundSpec | None]:
+    """The exact tier's slack key, upper bound and lower bound for a
+    non-constant atom, memoised like :func:`_describe_atom` so a round
+    does not rebuild the same delta-rationals for every atom."""
+    _, scale, rhs, strict = _describe_atom(atom)
+    key = frozenset(atom.expr.coeffs.items())
+    if atom.op == EQ:
+        inv = Fraction(1) / scale
+        return key, (_dr(rhs), inv), (_dr(rhs), -inv)
+    if scale > 0:
+        return key, (_dr(rhs, -1 if strict else 0), Fraction(1) / scale), None
+    # Dividing by a negative scale flips the inequality.
+    return key, None, (_dr(rhs, 1 if strict else 0), Fraction(-1) / scale)
+
+
 class TheoryConflict(Exception):
     """An asserted constraint set is infeasible; carries the core tags.
 
@@ -155,7 +178,6 @@ class Simplex:
         self.lower: dict[Var, _Bound] = {}
         self.upper: dict[Var, _Bound] = {}
         self.beta: dict[Var, DeltaRational] = {}
-        self._strict_atoms: list[tuple[LinExpr, Tag]] = []
 
     # ------------------------------------------------------------------
     # Variable management
@@ -166,14 +188,16 @@ class Simplex:
             self.beta[var] = DR_ZERO
         return var
 
-    def _slack_for(self, expr: LinExpr) -> Var:
-        """Slack variable for the homogeneous part of ``expr``.
+    def _slack_for(
+        self, expr: LinExpr, key: frozenset[tuple[Var, Fraction]]
+    ) -> Var:
+        """Slack variable for the homogeneous part of ``expr`` (whose
+        coefficient items are ``key``).
 
         Two constraints over the same linear form (up to the constant)
         share a slack variable, which is what lets the tableau detect
         their interaction.
         """
-        key = frozenset(expr.coeffs.items())
         slack = self._slack_of_form.get(key)
         if slack is not None:
             return slack
@@ -214,30 +238,13 @@ class Simplex:
                     frozenset([tag]), farkas=(_const_refutation(atom, tag),)
                 )
             return
-        _, scale, rhs, strict = descriptor
+        key, upper, lower = _exact_bounds(atom)
         expr = atom.expr
-        slack = self._slack_for(expr)
-        if strict:
-            self._strict_atoms.append((expr, tag))
-        if atom.op == EQ:
-            inv = Fraction(1) / scale
-            self._assert_upper(
-                slack, _Bound(_dr(rhs), tag, inv, expr, atom.op)
-            )
-            self._assert_lower(
-                slack, _Bound(_dr(rhs), tag, -inv, expr, atom.op)
-            )
-        elif scale > 0:
-            bound = _dr(rhs, -1 if strict else 0)
-            self._assert_upper(
-                slack, _Bound(bound, tag, Fraction(1) / scale, expr, atom.op)
-            )
-        else:
-            # Dividing by a negative scale flips the inequality.
-            bound = _dr(rhs, 1 if strict else 0)
-            self._assert_lower(
-                slack, _Bound(bound, tag, Fraction(-1) / scale, expr, atom.op)
-            )
+        slack = self._slack_for(expr, key)
+        if upper is not None:
+            self._assert_upper(slack, _Bound(upper[0], tag, upper[1], expr, atom.op))
+        if lower is not None:
+            self._assert_lower(slack, _Bound(lower[0], tag, lower[1], expr, atom.op))
 
     def _assert_upper(self, var: Var, new: _Bound) -> None:
         value = new.value
@@ -489,6 +496,12 @@ def concrete_model(
     strict_exprs: Iterable[LinExpr],
     nonstrict_exprs: Iterable[LinExpr] = (),
 ) -> dict[Var, Fraction]:
-    """Substitute a concrete delta into a delta-rational assignment."""
+    """Substitute a concrete delta into a delta-rational assignment.
+
+    With no delta coefficient anywhere (every pure-integer round after
+    tightening) the real parts are the model and no delta is needed.
+    """
+    if not any(value.k for value in assignment.values()):
+        return {var: value.real for var, value in assignment.items()}
     delta = concretize_delta(assignment, strict_exprs, nonstrict_exprs)
     return {var: value.real + value.k * delta for var, value in assignment.items()}

@@ -126,6 +126,9 @@ class Solver:
         self._leaf_key: tuple[int, int] | None = None
         self._live_atom_items: list[tuple[int, Atom]] = []
         self._bvar_items: list[tuple[int, BVar]] = []
+        # leaf atom -> its negation, for the atoms a round sees false;
+        # dead atoms' entries go in compact().
+        self._negations: dict[Atom, Atom] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -192,8 +195,9 @@ class Solver:
         ordering lemmas, guard encodings and blocking clauses citing
         them are deleted the same way (they are consequences of the
         monotone assertion set -- see ``SatSolver.simplify``), their
-        bound-chain entries are pruned, and a dead equality forgets its
-        trichotomy split so a later revival re-splits.  Without this, a
+        bound-chain entries are pruned, a dead equality forgets its
+        trichotomy split so a later revival re-splits, and the cached
+        negation of each is dropped.  Without this, a
         long counter-example session pays per-check for every
         ``NotOld`` point and candidate atom it ever retracted.
         """
@@ -208,6 +212,7 @@ class Solver:
             if var is not None:
                 dead_vars.add(var)
             self._eq_split.discard(atom)
+            self._negations.pop(atom, None)
         if dead_vars:
             for chains in self._chains.values():
                 for side in ("upper", "lower"):
@@ -361,6 +366,7 @@ class Solver:
         pending_splits: list[tuple[Atom, int]] = []
 
         self._refresh_leaf_cache()
+        negations = self._negations
         for sat_var, leaf in self._bvar_items:
             booleans[leaf] = sat_model[sat_var]
         for sat_var, leaf in self._live_atom_items:
@@ -368,7 +374,9 @@ class Solver:
             if asserted:
                 constraints.append((leaf, sat_var))
             else:
-                negated = leaf.negated()
+                negated = negations.get(leaf)
+                if negated is None:
+                    negated = negations[leaf] = leaf.negated()
                 if negated.op == NE:
                     if leaf not in self._eq_split:
                         pending_splits.append((leaf, sat_var))

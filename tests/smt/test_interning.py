@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from repro.smt import Atom, LE, LT, LinExpr, Var, conj, disj
 from repro.smt.formula import _NNF_CACHE, And, BVar, Not, Or, to_nnf
+from repro.smt.session import SmtSession
+from repro.smt.solver import SAT
 from repro.smt.terms import INT, REAL
 
 
@@ -100,6 +102,38 @@ def test_nnf_cache_does_not_pin_its_inputs():
     assert len(_NNF_CACHE) <= cache_before
     assert len(Atom._intern) <= atoms_before
     assert not [name for name, _ in Var._intern if name.startswith("__nnf_leak_")]
+
+
+def test_negation_cache_does_not_pin_dead_atoms():
+    """A theory round caches the negation of every atom it sees false;
+    retracting the atom's scope and compacting must drop those entries,
+    so a long session's cache holds live atoms only.
+
+    (The intern table cannot show this: the solver keeps every atom it
+    ever registered, in both polarities, in its atom and suppression
+    tables.  The cache is checked directly.)"""
+    session = SmtSession()
+    cache = session._solver._negations
+    base = LinExpr.var(Var("__neg_live"))
+    session.assert_base(disj([Atom(base, LE), Atom(3 - base, LE)]))
+    assert session.check(assumptions=[Not(Atom(base, LE))]) == SAT
+    live = set(cache)
+    assert live
+    scope = session.push(label="dies")
+    dying = set()
+    for i in range(20):
+        x = LinExpr.var(Var(f"__neg_leak_{i}"))
+        below, above = Atom(x - i, LE), Atom(i + 5 - x, LE)
+        scope.add(disj([below, above]))
+        # Assumed false, ``below`` reaches the theory round negated.
+        assert session.check(assumptions=[Not(below)]) == SAT
+        dying.add(below)
+    assert dying <= set(cache)
+    scope.retract()
+    session.close()
+    assert live <= set(cache)
+    assert dying.isdisjoint(cache)
+    assert session.check() == SAT
 
 
 def test_interned_nodes_hash_consistently():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.smt import LE, LT, Atom, LinExpr, REAL, Var
@@ -11,6 +11,7 @@ from repro.smt.simplex import (
     Simplex,
     TheoryConflict,
     concrete_model,
+    concretize_delta,
 )
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=16)
@@ -48,10 +49,13 @@ def test_delta_rational_arithmetic(a, b, c, d, k):
         max_size=10,
     )
 )
+# Non-strict bounds only: no value carries a delta coefficient.
+@example(bounds=[("<=", 3, True), ("<=", -2, False)])
 def test_concretized_models_satisfy_strict_bounds(bounds):
     """Whatever mix of strict/non-strict one-variable bounds is
     feasible, the concrete model (after substituting delta) satisfies
-    every original constraint exactly."""
+    every original constraint exactly, and equals the substitution of
+    the concretized delta even where no delta is needed."""
     x = Var("x", REAL)
     ex = LinExpr.var(x)
     simplex = Simplex()
@@ -65,9 +69,12 @@ def test_concretized_models_satisfy_strict_bounds(bounds):
         assignment = simplex.check()
     except TheoryConflict:
         return
-    model = concrete_model(
-        assignment, [a.expr for a in atoms if a.op == LT]
-    )
+    strict = [a.expr for a in atoms if a.op == LT]
+    model = concrete_model(assignment, strict)
+    delta = concretize_delta(assignment, strict)
+    assert model == {
+        var: value.real + value.k * delta for var, value in assignment.items()
+    }
     for atom in atoms:
         value = atom.expr.evaluate({x: model[x]})
         assert atom.holds(value), (atom, model[x])

@@ -106,10 +106,12 @@ def test_huge_coefficient_ratio_float_misses_unsat():
 
 
 def test_epsilon_straddling_bounds_float_misses_unsat():
-    # x <= 5 and x >= 5 + 1/10^12: the gap is far below the float
-    # tier's lenient epsilon, so it sees the bounds as touching.
+    # x + y <= 5 and x + y >= 5 + 1/10^12: the gap is far below the
+    # float tier's lenient epsilon, so it sees the bounds as touching.
+    # The form spans two variables, so the tableau has a row and the
+    # float tier runs.
     gap = Fraction(1, 10**12)
-    atoms = [Atom(ex - 5, LE), Atom((5 + gap) - ex, LE)]
+    atoms = [Atom(ex + ey - 5, LE), Atom((5 + gap) - (ex + ey), LE)]
     for mode in FLOAT_MODES:
         kind, payload = _verdict(atoms, mode)
         assert kind == "unsat", mode
@@ -156,7 +158,7 @@ def test_lying_float_tier_is_refuted(monkeypatch):
             )
 
     monkeypatch.setattr(backend_mod, "FloatSimplex", LyingSimplex)
-    atoms = [Atom(1 - ex, LE), Atom(ex - 3, LE)]
+    atoms = [Atom(1 - (ex + ey), LE), Atom(ex + ey - 3, LE)]
     before = GLOBAL_COUNTERS.tier_disagreements
     kind, model = _verdict(atoms, FLOAT_TRUST_SAT)
     assert kind == "sat"
@@ -168,11 +170,11 @@ def test_lying_float_tier_is_refuted(monkeypatch):
 # Confirmation paths
 # ----------------------------------------------------------------------
 def test_unsat_confirmation_reuses_suspected_core():
-    atoms = [Atom(ex - 1, LE), Atom(2 - ex, LE), Atom(ey - 7, LE)]
+    atoms = [Atom(ex + ey - 1, LE), Atom(2 - (ex + ey), LE), Atom(ez - 7, LE)]
     before = GLOBAL_COUNTERS.float_unsat_confirmed
     kind, conflict = _verdict(atoms, FLOAT_TRUST_SAT)
     assert kind == "unsat"
-    # The irrelevant y bound (tag 3) must not pollute the core.
+    # The irrelevant z bound (tag 3) must not pollute the core.
     assert set(conflict.core) == {1, 2}
     _assert_exact_conflict(conflict, atoms)
     assert GLOBAL_COUNTERS.float_unsat_confirmed == before + 1
@@ -204,6 +206,39 @@ def test_give_up_falls_back_to_exact(monkeypatch):
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     assert GLOBAL_COUNTERS.tier_fallbacks == before + 1
+
+
+def test_row_free_conjunction_skips_the_float_tier(monkeypatch):
+    # Every atom has at most one variable, so the tableau has no rows:
+    # the float tier must not be built, and the result must be exactly
+    # the exact-only path's model, core and Farkas witness.
+    sat_atoms = [
+        Atom(ex - 3, EQ),            # x = 3
+        Atom(ey - 2, LT),            # y < 2
+        Atom(1 - ez * 2, LE),        # z >= 1/2 (negative scale)
+        Atom(ey * -3 - 9, LT),       # y > -3 (strict, negative scale)
+    ]
+    unsat_atoms = [
+        Atom(ey - 2, LT),            # y < 2
+        Atom(ex - 3, EQ),            # x = 3
+        Atom(1 - ez * 2, LE),        # z >= 1/2
+        Atom(ex * -2 + 6, LT),       # x > 3 (strict, negative scale)
+    ]
+    expected_model = check_tableau(_tagged(sat_atoms), float_mode=FLOAT_OFF)
+    with pytest.raises(TheoryConflict) as off:
+        check_tableau(_tagged(unsat_atoms), float_mode=FLOAT_OFF)
+
+    def no_float_tier(*_args, **_kwargs):
+        raise AssertionError("row-free conjunction built a FloatSimplex")
+
+    monkeypatch.setattr(backend_mod, "FloatSimplex", no_float_tier)
+    model = check_tableau(_tagged(sat_atoms), float_mode=FLOAT_TRUST_SAT)
+    assert model == expected_model
+    with pytest.raises(TheoryConflict) as trust:
+        check_tableau(_tagged(unsat_atoms), float_mode=FLOAT_TRUST_SAT)
+    assert trust.value.core == off.value.core == {2, 4}
+    assert trust.value.farkas == off.value.farkas
+    _assert_exact_conflict(trust.value, unsat_atoms)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +320,7 @@ def test_env_override_forces_mode(monkeypatch):
     assert resolve_float_mode(None) == FLOAT_TRUST_SAT
     before = GLOBAL_COUNTERS.float_checks
     solver = Solver()  # env turns the float tier on: it must run
-    solver.add(Atom(ex - 1, LE))
+    solver.add(Atom(ex + ey - 1, LE))
     assert solver.check() == SAT
     assert GLOBAL_COUNTERS.float_checks > before
 
@@ -293,11 +328,11 @@ def test_env_override_forces_mode(monkeypatch):
 def test_session_threads_float_filter():
     before = GLOBAL_COUNTERS.float_checks
     session = SmtSession(float_filter=FLOAT_TRUST_SAT)
-    session.assert_base(conj([Atom(1 - ex, LE), Atom(ex - 4, LE)]))
+    session.assert_base(conj([Atom(1 - (ex + ey), LE), Atom(ex + ey - 4, LE)]))
     assert session.check() == SAT
     assert GLOBAL_COUNTERS.float_checks > before
     model = session.model()
-    assert Fraction(1) <= model.value(X) <= Fraction(4)
+    assert Fraction(1) <= model.value(X) + model.value(Y) <= Fraction(4)
 
 
 def test_scope_semantics_survive_the_filter():
