@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-from .formula import EQ, LT, Atom
-from .simplex import DeltaRational, _describe_atom
+from .formula import Atom
+from .simplex import DeltaRational, _describe_atom, _exact_bounds
 from .stats import GLOBAL_COUNTERS
 from .terms import LinExpr, Var
 
@@ -88,12 +88,25 @@ class FloatTierGiveUp(Exception):
     """The float tier abandoned the check (overflow / pivot blowup)."""
 
 
-@dataclass(frozen=True)
 class FloatDelta:
-    """Float image of a delta-rational: ``real + k * delta``."""
+    """Float image of a delta-rational: ``real + k * delta``.
 
-    real: float
-    k: float = 0.0
+    A value class: instances are never mutated after construction.
+    """
+
+    __slots__ = ("real", "k")
+
+    def __init__(self, real: float, k: float = 0.0) -> None:
+        self.real = real
+        self.k = k
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FloatDelta:
+            return NotImplemented
+        return self.real == other.real and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.real, self.k))
 
     def __add__(self, other: "FloatDelta") -> "FloatDelta":
         return FloatDelta(self.real + other.real, self.k + other.k)
@@ -135,7 +148,7 @@ def _fd(value: DeltaRational) -> FloatDelta:
     return FloatDelta(float(value.real), float(value.k))
 
 
-@dataclass
+@dataclass(slots=True)
 class _FloatBound:
     """A bound in both float image and exact form.
 
@@ -176,8 +189,9 @@ class FloatSimplex:
             self.beta[var] = FD_ZERO
         return var
 
-    def _slack_for(self, expr: LinExpr) -> Var:
-        key = frozenset(expr.coeffs.items())
+    def _slack_for(
+        self, expr: LinExpr, key: frozenset[tuple[Var, Fraction]]
+    ) -> Var:
         slack = self._slack_of_form.get(key)
         if slack is not None:
             return slack
@@ -214,18 +228,15 @@ class FloatSimplex:
             if not descriptor[1]:
                 raise FloatConflict(frozenset([tag]))
             return
-        _, scale, rhs, strict = descriptor
-        expr = atom.expr
-        slack = self._slack_for(expr)
-        if atom.op == EQ:
-            exact = DeltaRational(rhs)
+        # The exact tier's memoised slack key and bound values: the
+        # float tier asserts the same bounds, in float images.
+        key, upper, lower = _exact_bounds(atom)
+        slack = self._slack_for(atom.expr, key)
+        if upper is not None:
+            exact = upper[0]
             self._assert_upper(slack, _FloatBound(_fd(exact), exact, tag))
-            self._assert_lower(slack, _FloatBound(_fd(exact), exact, tag))
-        elif scale > 0:
-            exact = DeltaRational(rhs, Fraction(-1 if strict else 0))
-            self._assert_upper(slack, _FloatBound(_fd(exact), exact, tag))
-        else:
-            exact = DeltaRational(rhs, Fraction(1 if strict else 0))
+        if lower is not None:
+            exact = lower[0]
             self._assert_lower(slack, _FloatBound(_fd(exact), exact, tag))
 
     def _assert_upper(self, var: Var, new: _FloatBound) -> None:

@@ -91,7 +91,6 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     """The linear constraint ``expr op 0``.
 
@@ -99,10 +98,17 @@ class Atom(Formula):
     equal nodes are the same object, so the CNF encoder's definition
     cache and the session layer can key on identity.  Intern tables
     are weak -- nodes no live formula references are collected.
+
+    The hash is computed once, at intern time, and :meth:`negated`
+    keeps the complement in a weak memo that pins neither atom.
     """
+
+    __slots__ = ("expr", "op", "_hash", "_neg", "__weakref__")
 
     expr: LinExpr
     op: str
+    _hash: int
+    _neg: "weakref.ref[Atom] | None"
 
     _intern: ClassVar["weakref.WeakValueDictionary[tuple, Atom]"] = (
         weakref.WeakValueDictionary()
@@ -113,24 +119,54 @@ class Atom(Formula):
         cached = cls._intern.get(key)
         if cached is not None:
             return cached
+        if op not in _NEGATED_OP:
+            raise ValueError(f"unknown atom operator {op!r}")
         self = super().__new__(cls)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_neg", None)
         cls._intern[key] = self
         return self
 
-    def __getnewargs__(self) -> tuple[LinExpr, str]:
-        return (self.expr, self.op)
+    def __reduce__(self) -> tuple[type["Atom"], tuple[LinExpr, str]]:
+        # Unpickled atoms re-enter the intern table via __new__; the
+        # negation memo is not part of the value and is not pickled.
+        return (Atom, (self.expr, self.op))
 
-    def __post_init__(self) -> None:
-        if self.op not in (LE, LT, EQ, NE):
-            raise ValueError(f"unknown atom operator {self.op!r}")
+    def __setattr__(self, *a: object) -> None:  # pragma: no cover
+        raise AttributeError("formulas are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Atom:
+            return NotImplemented
+        return self.expr == other.expr and self.op == other.op
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def negated(self) -> "Atom":
         """The complementary atom (exact over rationals and integers)."""
+        ref = self._neg
+        if ref is not None:
+            neg = ref()
+            if neg is not None:
+                return neg
         if self.op == LE:
-            return Atom(-self.expr, LT)
-        if self.op == LT:
-            return Atom(-self.expr, LE)
-        return Atom(self.expr, _NEGATED_OP[self.op])
+            neg = Atom(-self.expr, LT)
+        elif self.op == LT:
+            neg = Atom(-self.expr, LE)
+        else:
+            neg = Atom(self.expr, _NEGATED_OP[self.op])
+        # sia: allow-mutation -- a weak memo slot, not part of the value:
+        # it is written only while empty or dead, and always to the
+        # complement that interning would return anyway.
+        object.__setattr__(self, "_neg", weakref.ref(neg))
+        # sia: allow-mutation -- the same memo, seen from the complement.
+        object.__setattr__(neg, "_neg", weakref.ref(self))
+        return neg
 
     def holds(self, value: Fraction) -> bool:
         """Whether ``value op 0`` holds for a concrete LHS value."""

@@ -25,13 +25,28 @@ from .terms import LinExpr, Var
 
 Tag = Hashable
 
+_ZERO = Fraction(0)
 
-@dataclass(frozen=True)
+
 class DeltaRational:
-    """A value ``real + k * delta`` for an infinitesimal ``delta > 0``."""
+    """A value ``real + k * delta`` for an infinitesimal ``delta > 0``.
 
-    real: Fraction
-    k: Fraction = Fraction(0)
+    A value class: instances are never mutated after construction.
+    """
+
+    __slots__ = ("real", "k")
+
+    def __init__(self, real: Fraction, k: Fraction = _ZERO) -> None:
+        self.real = real
+        self.k = k
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DeltaRational:
+            return NotImplemented
+        return self.real == other.real and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.real, self.k))
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
         return DeltaRational(self.real + other.real, self.k + other.k)
@@ -138,7 +153,7 @@ class TheoryConflict(Exception):
         self.cert = cert
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bound:
     """An asserted bound plus the data to rebuild its Farkas witness.
 

@@ -109,7 +109,7 @@ class Solver:
         self._model: Model | None = None
         self._eq_split: set[Atom] = set()
         self._budget_events = 0
-        self._lemma_atom_count = 0
+        self._lemma_var_count = 0
         self._emitted_lemmas: set[tuple[int, ...]] = set()
         # var -> sorted bound chains for incremental ordering lemmas.
         self._chains: dict[Var, dict[str, list]] = {}
@@ -126,9 +126,6 @@ class Solver:
         self._leaf_key: tuple[int, int] | None = None
         self._live_atom_items: list[tuple[int, Atom]] = []
         self._bvar_items: list[tuple[int, BVar]] = []
-        # leaf atom -> its negation, for the atoms a round sees false;
-        # dead atoms' entries go in compact().
-        self._negations: dict[Atom, Atom] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -196,8 +193,7 @@ class Solver:
         them are deleted the same way (they are consequences of the
         monotone assertion set -- see ``SatSolver.simplify``), their
         bound-chain entries are pruned, a dead equality forgets its
-        trichotomy split so a later revival re-splits, and the cached
-        negation of each is dropped.  Without this, a
+        trichotomy split so a later revival re-splits.  Without this, a
         long counter-example session pays per-check for every
         ``NotOld`` point and candidate atom it ever retracted.
         """
@@ -212,7 +208,6 @@ class Solver:
             if var is not None:
                 dead_vars.add(var)
             self._eq_split.discard(atom)
-            self._negations.pop(atom, None)
         if dead_vars:
             for chains in self._chains.values():
                 for side in ("upper", "lower"):
@@ -366,7 +361,6 @@ class Solver:
         pending_splits: list[tuple[Atom, int]] = []
 
         self._refresh_leaf_cache()
-        negations = self._negations
         for sat_var, leaf in self._bvar_items:
             booleans[leaf] = sat_model[sat_var]
         for sat_var, leaf in self._live_atom_items:
@@ -374,9 +368,7 @@ class Solver:
             if asserted:
                 constraints.append((leaf, sat_var))
             else:
-                negated = negations.get(leaf)
-                if negated is None:
-                    negated = negations[leaf] = leaf.negated()
+                negated = leaf.negated()
                 if negated.op == NE:
                     if leaf not in self._eq_split:
                         pending_splits.append((leaf, sat_var))
@@ -497,12 +489,16 @@ class Solver:
         if not self._ordering_lemmas:
             return
         atom_map = self._builder.result.atom_of_var
-        if len(atom_map) == self._lemma_atom_count:
+        num_vars = self._builder.result.num_vars
+        if num_vars == self._lemma_var_count:
             return
-        new_items = list(atom_map.items())[self._lemma_atom_count:]
-        self._lemma_atom_count = len(atom_map)
+        # Only the variables allocated since the last call can be new
+        # leaves, and allocation order is the atom table's order.
+        new_vars = range(self._lemma_var_count + 1, num_vars + 1)
+        self._lemma_var_count = num_vars
 
-        for sat_var, leaf in new_items:
+        for sat_var in new_vars:
+            leaf = atom_map.get(sat_var)
             if not isinstance(leaf, Atom) or len(leaf.expr.coeffs) != 1:
                 continue
             ((var, coeff),) = leaf.expr.coeffs.items()

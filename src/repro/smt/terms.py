@@ -17,7 +17,6 @@ verification step unsound.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, Union
 
@@ -28,7 +27,6 @@ REAL = "real"
 _SORTS = (INT, REAL)
 
 
-@dataclass(frozen=True, order=True)
 class Var:
     """A sorted variable.
 
@@ -44,34 +42,75 @@ class Var:
     references only -- variables no live formula mentions are
     collected, so one long process serving many sessions does not
     accumulate dead queries' vocabularies.
+
+    The hash is computed once, when the variable is first interned; a
+    constructor call that finds the variable does no other work.
     """
 
+    __slots__ = ("name", "sort", "_hash", "__weakref__")
+
     name: str
-    sort: str = INT
+    sort: str
+    _hash: int
 
     _intern: ClassVar["weakref.WeakValueDictionary[tuple[str, str], Var]"] = (
         weakref.WeakValueDictionary()
     )
 
     def __new__(cls, name: str, sort: str = INT) -> "Var":
-        if sort not in _SORTS:
-            raise ValueError(f"unknown sort {sort!r}; expected one of {_SORTS}")
         key = (name, sort)
         cached = cls._intern.get(key)
         if cached is not None:
             return cached
+        if sort not in _SORTS:
+            raise ValueError(f"unknown sort {sort!r}; expected one of {_SORTS}")
         self = super().__new__(cls)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "_hash", hash(key))
         cls._intern[key] = self
         return self
 
-    def __getnewargs__(self) -> tuple[str, str]:
+    def __reduce__(self) -> tuple[type["Var"], tuple[str, str]]:
         # Route unpickling through __new__ so deserialized variables
         # (e.g. from parallel bench workers) intern like fresh ones.
-        return (self.name, self.sort)
+        return (Var, (self.name, self.sort))
 
-    def __post_init__(self) -> None:
-        if self.sort not in _SORTS:
-            raise ValueError(f"unknown sort {self.sort!r}; expected one of {_SORTS}")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Var is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Var is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Var:
+            return NotImplemented
+        return self.name == other.name and self.sort == other.sort
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "Var") -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return (self.name, self.sort) < (other.name, other.sort)
+
+    def __le__(self, other: "Var") -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return (self.name, self.sort) <= (other.name, other.sort)
+
+    def __gt__(self, other: "Var") -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return (self.name, self.sort) > (other.name, other.sort)
+
+    def __ge__(self, other: "Var") -> bool:
+        if type(other) is not Var:
+            return NotImplemented
+        return (self.name, self.sort) >= (other.name, other.sort)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}:{self.sort}"
@@ -81,12 +120,33 @@ class Var:
         return self.sort == INT
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(value: Scalar) -> Fraction:
+    # Exact types first: isinstance(int, Fraction) goes through the
+    # numbers ABCs' __instancecheck__.
+    cls = type(value)
+    if cls is Fraction:
+        return value
+    if cls is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _key_scalar(value: Scalar) -> Scalar:
+    """``value`` as it goes into an intern-table key: integral values
+    as ``int``, which hashes and compares equal to the equal
+    ``Fraction`` but in C, not in ``Fraction.__hash__``."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    return _as_fraction(value)
 
 
 class LinExpr:
@@ -100,9 +160,13 @@ class LinExpr:
     equal expressions are the same object, which lets the CNF encoder
     and linearization caches key on identity.  The intern table is
     weak, so expressions referenced by no live formula are collected.
+    The hash is computed once, at intern time, and ``-expr`` is kept
+    in a weak memo that pins neither expression.
     """
 
-    __slots__ = ("coeffs", "const", "_hash", "__weakref__")
+    __slots__ = ("coeffs", "const", "_hash", "_neg", "__weakref__")
+
+    _neg: "weakref.ref[LinExpr] | None"
 
     _intern: "weakref.WeakValueDictionary[tuple, LinExpr]" = (
         weakref.WeakValueDictionary()
@@ -113,30 +177,28 @@ class LinExpr:
         coeffs: Mapping[Var, Scalar] | None = None,
         const: Scalar = 0,
     ) -> "LinExpr":
-        clean: dict[Var, Fraction] = {}
+        # Probe with the caller's scalars; Fractions are built only
+        # when the expression is new.
+        items: list[tuple[Var, Scalar]] = []
         if coeffs:
             for var, coeff in coeffs.items():
-                frac = _as_fraction(coeff)
-                if frac != 0:
-                    clean[var] = frac
-        key = (frozenset(clean.items()), _as_fraction(const))
+                coeff = _key_scalar(coeff)
+                if coeff:
+                    items.append((var, coeff))
+        key = (frozenset(items), _key_scalar(const))
         cached = cls._intern.get(key)
         if cached is not None:
             return cached
+        clean: dict[Var, Fraction] = {
+            var: _as_fraction(coeff) for var, coeff in items
+        }
         self = super().__new__(cls)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "const", key[1])
+        object.__setattr__(self, "const", _as_fraction(key[1]))
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_neg", None)
         cls._intern[key] = self
         return self
-
-    def __init__(
-        self,
-        coeffs: Mapping[Var, Scalar] | None = None,
-        const: Scalar = 0,
-    ) -> None:
-        # Construction (normalisation + interning) happens in __new__.
-        pass
 
     def __reduce__(self):
         # Unpickled expressions re-enter the intern table via __new__.
@@ -169,7 +231,7 @@ class LinExpr:
         return set(self.coeffs)
 
     def coeff(self, var: Var) -> Fraction:
-        return self.coeffs.get(var, Fraction(0))
+        return self.coeffs.get(var, _ZERO)
 
     def evaluate(self, assignment: Mapping[Var, Scalar]) -> Fraction:
         """Evaluate under a total assignment of the expression's variables."""
@@ -192,22 +254,35 @@ class LinExpr:
     # ------------------------------------------------------------------
     def __add__(self, other: "LinExpr | Scalar") -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const + _as_fraction(other))
+            return LinExpr(self.coeffs, self.const + other)
         if not isinstance(other, LinExpr):
             return NotImplemented
         merged = dict(self.coeffs)
         for var, coeff in other.coeffs.items():
-            merged[var] = merged.get(var, Fraction(0)) + coeff
+            prior = merged.get(var)
+            merged[var] = coeff if prior is None else prior + coeff
         return LinExpr(merged, self.const + other.const)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({v: -c for v, c in self.coeffs.items()}, -self.const)
+        ref = self._neg
+        if ref is not None:
+            neg = ref()
+            if neg is not None:
+                return neg
+        neg = LinExpr({v: -c for v, c in self.coeffs.items()}, -self.const)
+        # sia: allow-mutation -- a weak memo slot, not part of the value:
+        # it is written only while empty or dead, and always to the
+        # complement that interning would return anyway.
+        object.__setattr__(self, "_neg", weakref.ref(neg))
+        # sia: allow-mutation -- the same memo, seen from the complement.
+        object.__setattr__(neg, "_neg", weakref.ref(self))
+        return neg
 
     def __sub__(self, other: "LinExpr | Scalar") -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const - _as_fraction(other))
+            return LinExpr(self.coeffs, self.const - other)
         if not isinstance(other, LinExpr):
             return NotImplemented
         return self + (-other)
@@ -298,5 +373,5 @@ def linear_combination(terms: Iterable[tuple[Scalar, Var]], const: Scalar = 0) -
     """Build ``sum(c * v for c, v in terms) + const``."""
     coeffs: dict[Var, Fraction] = {}
     for coeff, var in terms:
-        coeffs[var] = coeffs.get(var, Fraction(0)) + _as_fraction(coeff)
+        coeffs[var] = coeffs.get(var, _ZERO) + _as_fraction(coeff)
     return LinExpr(coeffs, const)

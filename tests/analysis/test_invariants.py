@@ -69,6 +69,7 @@ def _detached_expr(expr):
     object.__setattr__(clone, "coeffs", dict(expr.coeffs))
     object.__setattr__(clone, "const", expr.const)
     object.__setattr__(clone, "_hash", expr._hash)
+    object.__setattr__(clone, "_neg", None)
     return clone
 
 
@@ -76,6 +77,10 @@ def _detached_atom(atom):
     clone = object.__new__(Atom)
     object.__setattr__(clone, "expr", _detached_expr(atom.expr))
     object.__setattr__(clone, "op", atom.op)
+    # Interned atoms carry their hash and negation memo from __new__,
+    # which a detached clone skips.
+    object.__setattr__(clone, "_hash", atom._hash)
+    object.__setattr__(clone, "_neg", None)
     return clone
 
 
