@@ -32,10 +32,10 @@ workers ship their records with ``predicate`` rendered to
 together with their per-query :data:`~repro.smt.stats.GLOBAL_COUNTERS`
 and :data:`~repro.obs.metrics.GLOBAL_METRICS` deltas.
 
-Environment knobs (``SIA_FLOAT_FILTER``) cross the process boundary
-through the pool's explicit initializer -- never through start-method
-inheritance -- and every task reports the environment its worker
-applied so tests can assert parity.
+Environment knobs (the crash knob :data:`CRASH_ENV`) cross the
+process boundary through the pool's explicit initializer -- never
+through start-method inheritance -- and every task reports the
+environment its worker applied so tests can assert parity.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Callable
 from ..obs.clock import now as _now
 from ..obs.metrics import GLOBAL_METRICS, merge_delta
 from ..obs.trace import get_tracer
-from ..smt.backend import FLOAT_MODE_ENV
 from ..smt.stats import GLOBAL_COUNTERS
 from ..tpch import WorkloadQuery, generate_workload
 from .harness import (
@@ -74,7 +73,7 @@ CRASH_ENV = "REPRO_BENCH_CRASH_QUERY"
 
 #: Environment keys propagated into every worker through the explicit
 #: initializer (never via start-method inheritance alone).
-PROPAGATED_ENV = (FLOAT_MODE_ENV, CRASH_ENV)
+PROPAGATED_ENV = (CRASH_ENV,)
 
 #: Pools started per run: the first one plus one restart after a crash.
 _POOL_ATTEMPTS = 2

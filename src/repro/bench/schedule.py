@@ -1,7 +1,7 @@
 """Expected synthesis cost per query, for longest-first dispatch.
 
 The efficacy workload's wall-clock lives in its tail: BENCH history
-shows p95 around 8x the median even with the float tier on, so a pool
+shows p95 around 8x the median, so a pool
 fed in query-index order leaves most workers idle while one grinds.
 The pool driver (:mod:`repro.bench.parallel`) instead submits queries
 in descending *expected* synthesis cost, and each free worker takes

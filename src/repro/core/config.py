@@ -51,20 +51,6 @@ class SiaConfig:
     # tests/smt/test_session.py proves it); the flag exists so the
     # micro-benchmarks can measure warm vs. cold.
     warm_sessions: bool = True
-    # Two-tier tableau backend (repro.smt.backend): "off" runs the
-    # exact Fraction simplex alone (the historical path);
-    # "filter+trust-sat" runs a float-arithmetic tableau first on
-    # every check whose tableau has a row (row-free checks are only
-    # bounds and go to the exact tier directly), uses its UNSAT
-    # verdicts -- after exact re-derivation of the certificate -- to
-    # skip exact pivoting, and accepts its SAT candidates once they
-    # model-check in exact arithmetic.  Both modes produce identical
-    # verdicts and exact-Fraction certificates (the differential suite in
-    # tests/smt/test_two_tier.py proves it); the knob trades float-tier
-    # throughput against pure-exact predictability.  The
-    # SIA_FLOAT_FILTER environment variable overrides this at every
-    # solver construction site (CI forces both extremes).
-    float_filter: str = "filter+trust-sat"
 
     def with_seed(self, seed: int) -> "SiaConfig":
         return replace(self, seed=seed)

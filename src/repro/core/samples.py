@@ -216,9 +216,7 @@ class IncrementalEnumerator:
         with_box: bool,
     ) -> None:
         self.variables = variables
-        self.session = SmtSession(
-            bnb_budget=config.bnb_budget, float_filter=config.float_filter
-        )
+        self.session = SmtSession(bnb_budget=config.bnb_budget)
         self.session.assert_base(base)
         self._box_scope = (
             self.session.push(
@@ -270,13 +268,12 @@ def enumerate_all(
     limit: int,
     *,
     bnb_budget: int = 4000,
-    float_filter: str | None = None,
 ) -> SampleSet:
     """Exhaustively enumerate models (the finite-domain fallback of
     section 5.3).  ``exhausted=True`` means the enumeration completed;
     ``False`` means the limit was hit."""
     points: list[Point] = []
-    session = SmtSession(bnb_budget=bnb_budget, float_filter=float_filter)
+    session = SmtSession(bnb_budget=bnb_budget)
     session.assert_base(base)
     try:
         for _ in range(limit):

@@ -85,7 +85,6 @@ class ValidPredicate:
         witnesses: list[dict] | None = None,
         bnb_budget: int = 300,
         recent_only: bool = False,
-        float_filter: str | None = None,
     ) -> None:
         """Drop parts implied by the newest part.
 
@@ -121,7 +120,6 @@ class ValidPredicate:
             if not _implication_holds(
                 conj([newest.formula(), negate(part.formula())]),
                 bnb_budget,
-                float_filter=float_filter,
             ):
                 kept.append(part)
         self.parts = kept + [newest]
@@ -130,7 +128,6 @@ class ValidPredicate:
         self,
         witnesses: list[dict] | None = None,
         bnb_budget: int = 1000,
-        float_filter: str | None = None,
     ) -> None:
         """Greedy redundancy elimination over the whole conjunction.
 
@@ -160,7 +157,6 @@ class ValidPredicate:
             implied = _implication_holds(
                 conj([others_formula, negate(part.formula())]),
                 bnb_budget,
-                float_filter=float_filter,
             )
             if implied:
                 kept = others
@@ -182,7 +178,6 @@ def _implication_holds(
     bnb_budget: int,
     *,
     certify: bool = False,
-    float_filter: str | None = None,
 ) -> bool:
     """UNSAT check with conservative handling of resource exhaustion:
     an unknown result counts as 'implication not proven'.
@@ -195,20 +190,12 @@ def _implication_holds(
 
     try:
         if not certify:
-            return not is_satisfiable(
-                negated_implication,
-                bnb_budget=bnb_budget,
-                float_filter=float_filter,
-            )
+            return not is_satisfiable(negated_implication, bnb_budget=bnb_budget)
         from ..analysis.certify import audit_proof
         from ..smt import UNSAT
         from ..smt.session import certified_solver
 
-        solver = certified_solver(
-            [negated_implication],
-            bnb_budget=bnb_budget,
-            float_filter=float_filter,
-        )
+        solver = certified_solver([negated_implication], bnb_budget=bnb_budget)
         assert solver.proof_log is not None
         if solver.proof_log.result != UNSAT:
             return False
@@ -346,7 +333,6 @@ class Synthesizer:
                 ctx,
                 bnb_budget=self.config.verify_budget,
                 certify=self.config.certify_verify,
-                float_filter=self.config.float_filter,
             )
             if self.config.warm_sessions
             else None
@@ -391,7 +377,6 @@ class Synthesizer:
                             ctx,
                             bnb_budget=self.config.verify_budget,
                             certify=self.config.certify_verify,
-                            float_filter=self.config.float_filter,
                         )
                     verify_span.set(valid=valid)
                 trace = IterationTrace(index=iteration, learned=str(p2), valid=valid)
@@ -413,11 +398,7 @@ class Synthesizer:
                         # Cheap per-iteration pass: the newest predicate most
                         # often subsumes its immediate predecessor.  A full
                         # pruning pass runs once at the end of the loop.
-                        p1.prune_dominated(
-                            witnesses=fs,
-                            recent_only=True,
-                            float_filter=self.config.float_filter,
-                        )
+                        p1.prune_dominated(witnesses=fs, recent_only=True)
                     counter_f_enum.add(p2.formula())
                     want = max(1, self.config.samples_per_iteration)
                     new_fs: list[Point] = []
@@ -458,7 +439,6 @@ class Synthesizer:
                                 conj([region.formula, p1.formula()]),
                                 self.config.bnb_budget,
                                 certify=self.config.certify_verify,
-                                float_filter=self.config.float_filter,
                             )
                         if sub_optimal:
                             status = VALID
@@ -551,7 +531,7 @@ class Synthesizer:
         with timings.track("validation"), tracer.span(
             "cegis.minimize", phase="minimize", counters=True
         ):
-            p1.minimize(witnesses=fs, float_filter=self.config.float_filter)
+            p1.minimize(witnesses=fs)
         outcome.iterations = iteration
         outcome.true_samples = len(ts)
         outcome.false_samples = len(fs)
@@ -591,7 +571,6 @@ class Synthesizer:
                 target_vars,
                 self.config.enumeration_limit,
                 bnb_budget=self.config.bnb_budget,
-                float_filter=self.config.float_filter,
             )
         if not full.exhausted:
             outcome.status = FAILED
@@ -627,7 +606,6 @@ class Synthesizer:
                 target_vars,
                 self.config.enumeration_limit,
                 bnb_budget=self.config.bnb_budget,
-                float_filter=self.config.float_filter,
             )
         if not full.exhausted:
             outcome.status = FAILED

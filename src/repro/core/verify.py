@@ -56,7 +56,6 @@ def verify_implied(
     *,
     bnb_budget: int = 4000,
     certify: bool = False,
-    float_filter: str | None = None,
 ) -> bool:
     """True iff ``original`` implies ``learned`` under three-valued logic.
 
@@ -79,15 +78,11 @@ def verify_implied(
     obligation = conj([t_p, negate(t_p1)])
     try:
         if not certify:
-            return not is_satisfiable(
-                obligation, bnb_budget=bnb_budget, float_filter=float_filter
-            )
+            return not is_satisfiable(obligation, bnb_budget=bnb_budget)
         from ..analysis.certify import audit_proof
         from ..smt import UNSAT
 
-        solver = certified_solver(
-            [obligation], bnb_budget=bnb_budget, float_filter=float_filter
-        )
+        solver = certified_solver([obligation], bnb_budget=bnb_budget)
         assert solver.proof_log is not None
         if solver.proof_log.result != UNSAT:
             return False
@@ -113,11 +108,8 @@ class WarmUnsatChecker:
         base: Formula,
         *,
         bnb_budget: int = 4000,
-        float_filter: str | None = None,
     ) -> None:
-        self._session = SmtSession(
-            bnb_budget=bnb_budget, float_filter=float_filter
-        )
+        self._session = SmtSession(bnb_budget=bnb_budget)
         self._session.assert_base(base)
 
     def close(self) -> None:
@@ -159,19 +151,15 @@ class PredicateVerifier:
         *,
         bnb_budget: int = 4000,
         certify: bool = False,
-        float_filter: str | None = None,
     ) -> None:
         self._original = original
         self._ctx = ctx
         self._bnb_budget = bnb_budget
         self._certify = certify
-        self._float_filter = float_filter
         self._checker: WarmUnsatChecker | None = None
         if not certify:
             self._checker = WarmUnsatChecker(
-                truth_formula(original, ctx),
-                bnb_budget=bnb_budget,
-                float_filter=float_filter,
+                truth_formula(original, ctx), bnb_budget=bnb_budget
             )
 
     def verify(self, learned: DisjunctivePredicate) -> bool:
@@ -190,7 +178,6 @@ class PredicateVerifier:
                     self._ctx,
                     bnb_budget=self._bnb_budget,
                     certify=self._certify,
-                    float_filter=self._float_filter,
                 )
             else:
                 t_p1 = learned_truth_formula(learned, self._ctx)

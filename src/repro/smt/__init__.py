@@ -13,19 +13,11 @@ substitution table).  Public surface:
 * quantifier elimination: ``eliminate_exists``, ``unsat_region``
 * warm sessions: :class:`SmtSession`, :class:`Scope` (activation-literal
   incrementality), :data:`GLOBAL_COUNTERS` instrumentation
-* two-tier tableau: :class:`TableauBackend`, ``check_tableau`` and the
-  float-filter mode constants (``FLOAT_OFF`` / ``FLOAT_TRUST_SAT``);
-  the float tier itself is :class:`~repro.smt.floatsimplex.FloatSimplex`
+
+Every linear-arithmetic check runs on the exact Fraction simplex
+(:class:`Simplex`).
 """
 
-from .backend import (
-    FLOAT_MODES,
-    FLOAT_OFF,
-    FLOAT_TRUST_SAT,
-    TableauBackend,
-    check_tableau,
-    resolve_float_mode,
-)
 from .formula import (
     EQ,
     FALSE,
@@ -89,9 +81,6 @@ __all__ = [
     "EliminationResult",
     "EQ",
     "FALSE",
-    "FLOAT_MODES",
-    "FLOAT_OFF",
-    "FLOAT_TRUST_SAT",
     "FarkasCert",
     "FarkasEntry",
     "Formula",
@@ -112,7 +101,6 @@ __all__ = [
     "Simplex",
     "SmtSession",
     "SplitCert",
-    "TableauBackend",
     "TrichotomyCert",
     "Solver",
     "SolverBudgetError",
@@ -125,7 +113,6 @@ __all__ = [
     "all_models",
     "bounds",
     "check_conjunction",
-    "check_tableau",
     "compare",
     "maximize",
     "minimize",
@@ -141,7 +128,6 @@ __all__ = [
     "linear_combination",
     "lt",
     "negate",
-    "resolve_float_mode",
     "tighten",
     "to_dnf",
     "to_nnf",

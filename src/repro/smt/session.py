@@ -179,7 +179,6 @@ class SmtSession:
         ordering_lemmas: bool = True,
         minimize_cores: bool = False,
         max_rounds: int = 50_000,
-        float_filter: str | None = None,
     ) -> None:
         GLOBAL_COUNTERS.sessions_created += 1
         self._solver = Solver(
@@ -187,10 +186,8 @@ class SmtSession:
             ordering_lemmas=ordering_lemmas,
             minimize_cores=minimize_cores,
             max_rounds=max_rounds,
-            float_filter=float_filter,
         )
         self._default_budget = bnb_budget
-        self._float_filter = float_filter
         self._scopes: list[Scope] = []
         self._checks = 0
         # Theory-relevance bookkeeping: an atom referenced only by
@@ -424,7 +421,6 @@ class SmtSession:
         return certified_solver(
             formulas,
             bnb_budget=self._default_budget if bnb_budget is None else bnb_budget,
-            float_filter=self._float_filter,
         )
 
 
@@ -432,19 +428,15 @@ def certified_solver(
     formulas: Iterable[Formula],
     *,
     bnb_budget: int = 4000,
-    float_filter: str | None = None,
 ) -> Solver:
     """Sealed fresh proof-logging solver over ``formulas``, checked.
 
     The canonical entry point for certified verdicts (see
     :meth:`SmtSession.certified_check`); callers read the verdict from
-    ``proof_log.result`` and hand the log to the auditor.  The float
-    tier composes with proof logging: its verdicts are advisory and
-    every certificate is re-derived exactly, so a certified check may
-    still run the filter.
+    ``proof_log.result`` and hand the log to the auditor.
     """
     GLOBAL_COUNTERS.proof_fallbacks += 1
-    solver = Solver(bnb_budget=bnb_budget, proof=True, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget, proof=True)
     solver.add(*formulas)
     solver.check()
     return solver

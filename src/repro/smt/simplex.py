@@ -116,7 +116,7 @@ _BoundSpec = tuple[DeltaRational, Fraction]
 def _exact_bounds(
     atom: Atom,
 ) -> tuple[frozenset[tuple[Var, Fraction]], _BoundSpec | None, _BoundSpec | None]:
-    """The exact tier's slack key, upper bound and lower bound for a
+    """The slack key, upper bound and lower bound for a
     non-constant atom, memoised like :func:`_describe_atom` so a round
     does not rebuild the same delta-rationals for every atom."""
     _, scale, rhs, strict = _describe_atom(atom)

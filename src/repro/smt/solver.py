@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .backend import resolve_float_mode
 from .cnf import CnfBuilder
 from .formula import EQ, LE, LT, NE, Atom, BVar, Formula, Not as FNot
 from .proof import (
@@ -92,13 +91,8 @@ class Solver:
         ordering_lemmas: bool = True,
         proof: bool = False,
         minimize_cores: bool = False,
-        float_filter: str | None = None,
     ) -> None:
         GLOBAL_COUNTERS.solvers_constructed += 1
-        # Tier selection for every theory check this solver issues
-        # (resolved once here so the SIA_FLOAT_FILTER env override and
-        # mode validation apply at construction, not per check).
-        self._float_mode = resolve_float_mode(float_filter)
         self._builder = CnfBuilder()
         self._sat = SatSolver()
         self._clauses_sent = 0
@@ -382,11 +376,7 @@ class Solver:
             return None
 
         try:
-            values = check_conjunction(
-                constraints,
-                max_nodes=self._bnb_budget,
-                float_mode=self._float_mode,
-            )
+            values = check_conjunction(constraints, max_nodes=self._bnb_budget)
         except TheoryConflict as conflict:
             if self._minimize_cores:
                 conflict = self._minimize_conflict(conflict, constraints)
@@ -454,11 +444,7 @@ class Solver:
                 if t in atom_of_tag
             ]
             try:
-                check_conjunction(
-                    trial,
-                    max_nodes=self._bnb_budget,
-                    float_mode=self._float_mode,
-                )
+                check_conjunction(trial, max_nodes=self._bnb_budget)
             except TheoryConflict as sub:
                 core = set(sub.core)
                 best = sub
@@ -674,24 +660,16 @@ class Solver:
 # ----------------------------------------------------------------------
 # Convenience helpers used across the code base
 # ----------------------------------------------------------------------
-def is_satisfiable(
-    *formulas: Formula,
-    bnb_budget: int = 4000,
-    float_filter: str | None = None,
-) -> bool:
+def is_satisfiable(*formulas: Formula, bnb_budget: int = 4000) -> bool:
     """One-shot satisfiability of the conjunction of ``formulas``."""
-    solver = Solver(bnb_budget=bnb_budget, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget)
     solver.add(*formulas)
     return solver.check() == SAT
 
 
-def get_model(
-    *formulas: Formula,
-    bnb_budget: int = 4000,
-    float_filter: str | None = None,
-) -> Model | None:
+def get_model(*formulas: Formula, bnb_budget: int = 4000) -> Model | None:
     """One-shot model of the conjunction, or None when unsat."""
-    solver = Solver(bnb_budget=bnb_budget, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget)
     solver.add(*formulas)
     if solver.check() == SAT:
         return solver.model()

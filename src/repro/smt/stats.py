@@ -22,20 +22,11 @@ parallel workload driver snapshot around their workloads:
   scopes pushed and retired,
 * ``proof_fallbacks`` -- checks that had to leave the warm session
   for a sealed proof-logging solver (certified paths),
-* ``float_checks`` / ``float_pivots`` -- two-tier backend
-  (:mod:`repro.smt.backend`): LRA checks that entered the float tier,
-  and pivots spent there (``pivots`` stays the *exact*-tier pivot
-  count, so ``float_pivots / (float_pivots + pivots)`` is the share of
-  pivot work the cheap tier absorbed),
-* ``float_sat_confirmed`` / ``float_unsat_confirmed`` -- float-tier
-  verdicts the exact tier confirmed (a snapped SAT candidate that
-  model-checked in Fractions; a suspected conflict re-derived as an
-  exact Farkas certificate),
-* ``tier_disagreements`` -- float verdicts the exact tier *refuted*
-  (a bogus conflict or a candidate that failed the exact model check);
-  each one is silently corrected by a full exact solve,
-* ``tier_fallbacks`` -- float-tier checks that ended in a full exact
-  solve for any reason (give-up or disagreement).
+* ``float_pivots`` / ``tier_fallbacks`` / ``tier_disagreements`` --
+  always 0: every LRA check runs on the exact simplex, so ``pivots``
+  counts all pivot work.  The fields stay because the end-to-end
+  benchmark (``benchmarks/e2e``) reads them for ``smt.float_pivots``,
+  ``smt.tier_fallbacks`` and ``smt.tier_disagreements``.
 
 **Counting semantics** (pinned by ``tests/smt/test_counter_semantics.py``):
 ``checks`` counts *every* top-level ``Solver.check`` call, wherever it
@@ -79,12 +70,9 @@ class SolverCounters:
     scopes_opened: int = 0
     scopes_retracted: int = 0
     proof_fallbacks: int = 0
-    float_checks: int = 0
-    float_pivots: int = 0
-    float_sat_confirmed: int = 0
-    float_unsat_confirmed: int = 0
-    tier_disagreements: int = 0
-    tier_fallbacks: int = 0
+    float_pivots: int = 0  # never incremented; see module docstring
+    tier_disagreements: int = 0  # never incremented; see module docstring
+    tier_fallbacks: int = 0  # never incremented; see module docstring
 
     def snapshot(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -25,14 +25,9 @@ FLOAT_RULES = {"SIA001", "SIA002", "SIA003"}
 # VSIDS activity heuristic (floats never reach theory arithmetic);
 # repro/predicates/eval.py is the vectorised engine-evaluation
 # boundary; the two learn/ files are the paper's float->Fraction
-# crossing (DESIGN.md substitution table); repro/smt/backend.py snaps
-# float tableau candidates onto exact bounds (the two-tier
-# orchestrator's single comparison boundary).  repro/smt/floatsimplex.py
-# is deliberately absent: it is the float-tier *zone*, not a crossing
-# -- the purity rules do not apply inside it at all (tested below).
+# crossing (DESIGN.md substitution table).
 SANCTIONED_FILES = {
     "src/repro/smt/sat.py",
-    "src/repro/smt/backend.py",
     "src/repro/predicates/eval.py",
     "src/repro/learn/svm.py",
     "src/repro/learn/rationalize.py",
@@ -62,20 +57,6 @@ def test_crossings_exist_only_in_documented_files():
     )
     observed = {str(Path(f.file).relative_to(ROOT)) for f in findings}
     assert observed == SANCTIONED_FILES
-
-
-def test_float_tier_zone_is_exempt_even_without_pragmas():
-    """floatsimplex.py is a zone carve-out, not a pragma'd exception.
-
-    Its float cells produce zero findings even with pragmas ignored --
-    if the carve-out in ``zone_of`` ever regresses, the file's hundreds
-    of float operations would land in ``observed`` above and both this
-    test and the whitelist test would fail.
-    """
-    findings = _float_findings(
-        [SRC / "smt" / "floatsimplex.py"], honor_pragmas=False
-    )
-    assert findings == [], [f.render() for f in findings]
 
 
 def test_certify_is_exact_zone_despite_living_under_analysis():

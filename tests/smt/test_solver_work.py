@@ -8,8 +8,7 @@ Outputs alone do not show that; this test pins the work as well.
 
 ``generate_workload`` checks each random predicate for satisfiability
 with a one-shot solver, which makes it a cheap, deterministic probe.
-The float tier is forced off so every pivot is an exact one.  The counts
-must not depend on ``PYTHONHASHSEED`` either (CI runs this file under
+The counts must not depend on ``PYTHONHASHSEED`` either (CI runs this file under
 two seeds).  To re-derive the SQL digest after an intended change::
 
     PYTHONPATH=src python -c "import hashlib; from repro.tpch.workload \\
@@ -25,8 +24,7 @@ from repro.tpch.workload import generate_workload
 SQL_SHA256 = "3d6d0107fd5049503026eaebb3a342b1bb52a419f1db1d691255fe4a75d94290"
 
 
-def test_generate_workload_solver_work(monkeypatch):
-    monkeypatch.setenv("SIA_FLOAT_FILTER", "off")
+def test_generate_workload_solver_work():
     before = GLOBAL_COUNTERS.snapshot()
     queries = generate_workload(16, seed=13)
     work = GLOBAL_COUNTERS.delta_since(before)

@@ -1,10 +1,23 @@
-"""Unit tests for integer tightening and branch-and-bound."""
+"""Unit tests for integer tightening, branch-and-bound and hard LRA inputs."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.smt import EQ, LE, LT, Atom, LinExpr, REAL, TheoryConflict, Var
+from repro.analysis.certify import audit_proof
+from repro.smt import (
+    EQ,
+    LE,
+    LT,
+    UNSAT,
+    Atom,
+    LinExpr,
+    REAL,
+    TheoryConflict,
+    Var,
+    conj,
+)
+from repro.smt.session import certified_solver
 from repro.smt.theory import check_conjunction, tighten
 
 X = Var("x")
@@ -128,3 +141,59 @@ def test_equalities_and_inequalities_combined():
     assert model[X] + model[Y] == 10
     assert model[X] < model[Y]
     assert model[X] >= 1
+
+
+# ----------------------------------------------------------------------
+# Numerically hard inputs: coefficient ratios, gaps and pivot
+# coefficients that a machine-float tableau rounds away.  The exact
+# simplex decides each one and certifies every conflict.
+# ----------------------------------------------------------------------
+RX = LinExpr.var(Var("rx", REAL))
+RY = LinExpr.var(Var("ry", REAL))
+
+
+def _assert_certified_unsat(atoms):
+    tagged = [(atom, i + 1) for i, atom in enumerate(atoms)]
+    with pytest.raises(TheoryConflict) as raised:
+        check_conjunction(tagged)
+    conflict = raised.value
+    assert set(conflict.core) <= {tag for _, tag in tagged}
+    assert conflict.cert is not None
+    for entry in conflict.cert.entries:
+        assert isinstance(entry.coeff, Fraction)
+    solver = certified_solver([conj(atoms)])
+    assert solver.proof_log is not None
+    assert solver.proof_log.result == UNSAT
+    assert audit_proof(solver.proof_log, origin="theory") == []
+
+
+def test_huge_coefficient_ratio_is_unsat():
+    # rx >= 1, ry >= 1, rx + 10^18 ry <= 10^18: infeasible, but in
+    # floats 10^18 + 1 rounds to 10^18.
+    _assert_certified_unsat(
+        [
+            Atom(1 - RX, LE),
+            Atom(1 - RY, LE),
+            Atom(RX + RY * 10**18 - 10**18, LE),
+        ]
+    )
+
+
+def test_sliver_below_float_epsilon_is_unsat():
+    # rx + ry <= 5 and rx + ry >= 5 + 10^-12: the bounds do not touch.
+    gap = Fraction(1, 10**12)
+    _assert_certified_unsat(
+        [Atom(RX + RY - 5, LE), Atom((5 + gap) - (RX + RY), LE)]
+    )
+
+
+def test_near_degenerate_pivot_is_sat():
+    # rx + ry / 10^13 >= 2 with rx <= 1 is feasible only by pushing ry
+    # through a pivot on a 10^-13 coefficient.
+    atoms = [
+        Atom(2 - (RX + RY * Fraction(1, 10**13)), LE),
+        Atom(RX - 1, LE),
+    ]
+    model = check_conjunction([(atom, i + 1) for i, atom in enumerate(atoms)])
+    assert all(atom.holds(atom.expr.evaluate(model)) for atom in atoms)
+    assert all(isinstance(value, Fraction) for value in model.values())
