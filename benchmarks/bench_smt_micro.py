@@ -11,9 +11,7 @@ Two entry points share the workload bodies below:
 * ``python benchmarks/bench_smt_micro.py`` times them standalone and
   writes ``BENCH_smt_micro.json`` at the repo root (median/p95 per
   benchmark plus the :data:`repro.smt.stats.GLOBAL_COUNTERS` delta),
-  including a warm-vs-cold CEGIS comparison that measures how many
-  solver constructions :class:`repro.smt.SmtSession` saves per
-  synthesized query.
+  including the process-pool workload driver's wall-clock.
 """
 
 import argparse
@@ -262,103 +260,6 @@ def _timed_entry(fn, runs: int, name: str = "") -> dict:
     return entry
 
 
-def _cegis_cells(num_queries: int, seed: int):
-    """(predicate, subset) synthesis cells over date-column pairs.
-
-    Two-column subsets drive multi-iteration CEGIS loops (single
-    columns mostly converge in one round, where a warm session has
-    nothing to amortize).
-    """
-    import itertools
-
-    from repro.tpch import LINEITEM_DATES, generate_workload
-
-    cells = []
-    for wq in generate_workload(num_queries, seed=seed):
-        for pair in itertools.combinations(LINEITEM_DATES, 2):
-            if set(pair) <= wq.predicate.columns():
-                cells.append((wq.predicate, frozenset(pair)))
-    return cells
-
-
-def _cegis_pass(cells, *, warm: bool) -> tuple[list[float], dict[str, int]]:
-    """One synthesis of every cell: per-cell wall-clock ms and counters."""
-    from dataclasses import replace
-
-    from repro.core import SIA_DEFAULT, Synthesizer
-
-    config = replace(SIA_DEFAULT, warm_sessions=warm)
-    before = GLOBAL_COUNTERS.snapshot()
-    times_ms = []
-    for predicate, subset in cells:
-        start = now()
-        Synthesizer(config).synthesize(predicate, set(subset))
-        times_ms.append((now() - start) * 1000.0)
-    return times_ms, GLOBAL_COUNTERS.delta_since(before)
-
-
-def _cegis_arm(cells, passes: list[tuple[list[float], dict[str, int]]]) -> dict:
-    """One arm's entry: medians over every cell of its timed passes."""
-    from repro.bench.perflog import summarize_times
-
-    entry = summarize_times([ms for times_ms, _ in passes for ms in times_ms])
-    entry["pass_median_ms"] = [
-        summarize_times(times_ms)["median_ms"] for times_ms, _ in passes
-    ]
-    counters: dict[str, int] = {}
-    for _, delta in passes:
-        for name, value in delta.items():
-            counters[name] = counters.get(name, 0) + value
-    entry["counters"] = counters
-    entry["solver_constructions_per_query"] = round(
-        counters["solvers_constructed"] / max(len(cells) * len(passes), 1), 3
-    )
-    return entry
-
-
-#: Timed passes per arm of the warm-vs-cold comparison.
-CEGIS_TIMED_PASSES = 2
-
-
-def cegis_warm_vs_cold(num_queries: int, seed: int) -> dict[str, dict]:
-    """Warm-session vs. fresh-solver CEGIS over a small workload.
-
-    The acceptance bar for the warm-session work: at least 2x fewer
-    solver constructions per synthesized query, and a lower median
-    wall-clock, both recorded in the JSON trajectory.
-
-    The first pass over the cells pays for imports and process-wide
-    caches whatever the mode, so it is run once and discarded; the
-    arms then alternate warm/cold/warm/cold, and each arm reports the
-    median and p95 over every cell of its timed passes.
-    """
-    cells = _cegis_cells(num_queries, seed)
-    _cegis_pass(cells, warm=True)
-    passes: dict[bool, list] = {True: [], False: []}
-    for _ in range(CEGIS_TIMED_PASSES):
-        for warm in (True, False):
-            passes[warm].append(_cegis_pass(cells, warm=warm))
-    warm = _cegis_arm(cells, passes[True])
-    cold = _cegis_arm(cells, passes[False])
-    ratio = cold["solver_constructions_per_query"] / max(
-        warm["solver_constructions_per_query"], 1e-9
-    )
-    comparison = {
-        "queries": len(cells),
-        "timed_passes_per_arm": CEGIS_TIMED_PASSES,
-        "construction_ratio_cold_over_warm": round(ratio, 2),
-        "median_speedup": round(
-            cold["median_ms"] / max(warm["median_ms"], 1e-9), 3
-        ),
-        "p95_speedup": round(cold["p95_ms"] / max(warm["p95_ms"], 1e-9), 3),
-    }
-    return {
-        "cegis/warm": warm,
-        "cegis/cold": cold,
-        "cegis/warm_vs_cold": comparison,
-    }
-
-
 def parallel_driver_bench(num_queries: int, seed: int, runs: int) -> dict[str, dict]:
     """Wall-clock of the process-pool workload driver vs. one process.
 
@@ -405,15 +306,11 @@ def main(argv=None) -> int:
         "--runs", type=int, default=5, help="timed runs per benchmark"
     )
     parser.add_argument(
-        "--cegis-queries", type=int, default=4,
-        help="workload queries for the warm-vs-cold CEGIS comparison",
+        "--queries", type=int, default=4,
+        help="workload queries for the process-pool driver entries",
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--output", default=str(DEFAULT_PATH))
-    parser.add_argument(
-        "--skip-cegis", action="store_true",
-        help="micro-benchmarks only (fast smoke mode)",
-    )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL span trace (with per-check smt spans) of "
@@ -439,23 +336,12 @@ def main(argv=None) -> int:
                 f"micro/{name}: median {entries[f'micro/{name}']['median_ms']} ms"
             )
         entries.update(
-            parallel_driver_bench(args.cegis_queries, args.seed, args.runs)
+            parallel_driver_bench(args.queries, args.seed, args.runs)
         )
         for name in ("parallel/tc_sequential", "parallel/tc_workers"):
             print(
                 f"{name}: median {entries[name]['median_ms']} ms "
                 f"({entries[name]['workers']} workers)"
-            )
-        if not args.skip_cegis:
-            entries.update(cegis_warm_vs_cold(args.cegis_queries, args.seed))
-            comparison = entries["cegis/warm_vs_cold"]
-            print(
-                "cegis: warm constructs "
-                f"{entries['cegis/warm']['solver_constructions_per_query']} "
-                "solvers/query vs cold "
-                f"{entries['cegis/cold']['solver_constructions_per_query']} "
-                f"({comparison['construction_ratio_cold_over_warm']}x fewer), "
-                f"median speedup {comparison['median_speedup']}x"
             )
         stamp_trace_id(entries, tracer.trace_id if tracer is not None else None)
     if args.trace:

@@ -37,7 +37,7 @@ from ..core import (
     Synthesizer,
     TransitiveClosure,
 )
-from ..core.synthesize import _implication_holds
+from ..core.verify import unsat_proven
 from ..engine import Catalog, build_plan, execute
 from ..predicates import Column, Pred, lower_predicate, selectivity
 from ..rewrite import rewrite_query
@@ -235,7 +235,7 @@ def _tc_is_optimal(
     target_vars = {ctx.var_of_column[c] for c in subset}
     region = unsat_region(formula, target_vars)
     derived_formula, _ = lower_predicate(derived, ctx)
-    return _implication_holds(conj([region.formula, derived_formula]), 2000)
+    return unsat_proven(conj([region.formula, derived_formula]), 2000)
 
 
 def efficacy_records(

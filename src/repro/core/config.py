@@ -44,13 +44,6 @@ class SiaConfig:
     # 6.2: "the optimizer may use SIA with an explicit timeout".  On
     # expiry the loop returns the best valid predicate found so far.
     timeout_ms: float | None = None
-    # Warm incremental sessions (repro.smt.session): Verify and the
-    # optimality probe reuse one solver across CEGIS iterations via
-    # activation literals instead of rebuilding per check.  Semantics
-    # are identical either way (the differential test in
-    # tests/smt/test_session.py proves it); the flag exists so the
-    # micro-benchmarks can measure warm vs. cold.
-    warm_sessions: bool = True
 
     def with_seed(self, seed: int) -> "SiaConfig":
         return replace(self, seed=seed)

@@ -90,27 +90,17 @@ class Sampler:
         count: int,
         *,
         existing: list[Point] | None = None,
-        random_attempts: int | None = None,
     ) -> SampleSet:
         """Up to ``count`` new models of ``base`` distinct from
         ``existing`` on the target ``variables``.
 
-        ``random_attempts`` controls how many randomised-region solves
-        are tried per sample before falling back to plain enumeration
-        (counter-example mining uses fewer attempts than initial-sample
-        generation -- the paper just takes whatever model the solver
-        returns there).
+        The ``random_box`` strategy tries two randomised-region solves
+        per sample before falling back to plain enumeration.
         """
-        if random_attempts is None:
-            random_attempts = 2 if self.config.sampling_strategy == RANDOM_BOX else 0
         from ..obs.trace import get_tracer
 
-        with get_tracer().span(
-            "samples.draw", requested=count, random_attempts=random_attempts
-        ) as span:
-            result = self._sample(
-                base, variables, count, existing, random_attempts
-            )
+        with get_tracer().span("samples.draw", requested=count) as span:
+            result = self._sample(base, variables, count, existing)
             span.set(found=len(result.points), exhausted=result.exhausted)
             return result
 
@@ -120,8 +110,8 @@ class Sampler:
         variables: list[Var],
         count: int,
         existing: list[Point] | None,
-        random_attempts: int,
     ) -> SampleSet:
+        attempts = 2 if self.config.sampling_strategy == RANDOM_BOX else 0
         points: list[Point] = []
         all_known = list(existing or [])
         # One persistent session serves every sample of this call
@@ -130,14 +120,12 @@ class Sampler:
         # retractable scope, so a single warm CDCL instance covers both
         # the boxed search and the unboxed fallback (historically two
         # separate solvers, rebuilt per call).
-        enumerator = IncrementalEnumerator(
-            base, variables, all_known, self.config, with_box=True
-        )
+        enumerator = IncrementalEnumerator(base, variables, all_known, self.config)
 
         try:
             for _ in range(count):
                 point = None
-                for attempt in range(random_attempts):
+                for attempt in range(attempts):
                     assumptions = self._random_region_atoms(variables)
                     if attempt == 0:
                         assumptions += self._nonzero_atoms(variables)
@@ -155,10 +143,8 @@ class Sampler:
                 all_known.append(point)
             return SampleSet(points, exhausted=False)
         finally:
-            # Retract the box scope before abandoning the session;
-            # without this every sampling call leaked one opened scope
-            # into the counters (the `scopes_retracted: 0` artifact in
-            # the cold-path bench rows).
+            # Retract the box scope before abandoning the session, so
+            # scopes_opened and scopes_retracted balance.
             enumerator.close()
 
     # ------------------------------------------------------------------
@@ -212,18 +198,12 @@ class IncrementalEnumerator:
         variables: list[Var],
         known: list[Point],
         config: SiaConfig,
-        *,
-        with_box: bool,
     ) -> None:
         self.variables = variables
         self.session = SmtSession(bnb_budget=config.bnb_budget)
         self.session.assert_base(base)
-        self._box_scope = (
-            self.session.push(
-                box_formula(variables, config.sample_box), label="sample-box"
-            )
-            if with_box
-            else None
+        self._box_scope = self.session.push(
+            box_formula(variables, config.sample_box), label="sample-box"
         )
         self.blocked = 0
         self._block(known)
@@ -244,11 +224,7 @@ class IncrementalEnumerator:
         boxed: bool = True,
     ) -> Point | None:
         self._block(known)
-        disable = (
-            [self._box_scope]
-            if (not boxed and self._box_scope is not None)
-            else []
-        )
+        disable = [] if boxed else [self._box_scope]
         try:
             if self.session.check(assumptions, disable=disable) != SAT:
                 return None

@@ -60,7 +60,7 @@ from .samples import (
     enumerate_all,
     not_old_formula,
 )
-from .verify import PredicateVerifier, verify_implied
+from .verify import PredicateVerifier, unsat_proven
 
 
 @dataclass
@@ -98,8 +98,6 @@ class ValidPredicate:
         point accepted by the newest part but rejected by an old part
         disproves implication without touching the solver.
         """
-        from ..smt import is_satisfiable
-
         if len(self.parts) < 2:
             return
         newest = self.parts[-1]
@@ -117,9 +115,8 @@ class ValidPredicate:
             if has_witness:
                 kept.append(part)
                 continue
-            if not _implication_holds(
-                conj([newest.formula(), negate(part.formula())]),
-                bnb_budget,
+            if not unsat_proven(
+                conj([newest.formula(), negate(part.formula())]), bnb_budget
             ):
                 kept.append(part)
         self.parts = kept + [newest]
@@ -137,8 +134,6 @@ class ValidPredicate:
         evaluate in the engine -- the paper's rewritten queries carry a
         handful of predicates, not one per loop iteration.
         """
-        from ..smt import is_satisfiable
-
         witnesses = witnesses or []
         kept = list(dict.fromkeys(self.parts))
         index = 0
@@ -154,9 +149,8 @@ class ValidPredicate:
             if has_witness:
                 index += 1
                 continue
-            implied = _implication_holds(
-                conj([others_formula, negate(part.formula())]),
-                bnb_budget,
+            implied = unsat_proven(
+                conj([others_formula, negate(part.formula())]), bnb_budget
             )
             if implied:
                 kept = others
@@ -171,37 +165,6 @@ class ValidPredicate:
 
 
 logger = logging.getLogger(__name__)
-
-
-def _implication_holds(
-    negated_implication: Formula,
-    bnb_budget: int,
-    *,
-    certify: bool = False,
-) -> bool:
-    """UNSAT check with conservative handling of resource exhaustion:
-    an unknown result counts as 'implication not proven'.
-
-    With ``certify=True`` the UNSAT verdict additionally has to survive
-    the independent proof audit (see :func:`repro.core.verify.verify_implied`).
-    """
-    from ..smt import SolverError, is_satisfiable
-    from ..smt.theory import SolverBudgetError
-
-    try:
-        if not certify:
-            return not is_satisfiable(negated_implication, bnb_budget=bnb_budget)
-        from ..analysis.certify import audit_proof
-        from ..smt import UNSAT
-        from ..smt.session import certified_solver
-
-        solver = certified_solver([negated_implication], bnb_budget=bnb_budget)
-        assert solver.proof_log is not None
-        if solver.proof_log.result != UNSAT:
-            return False
-        return not audit_proof(solver.proof_log, origin="counter-f")
-    except (SolverError, SolverBudgetError):
-        return False
 
 
 class Synthesizer:
@@ -322,20 +285,16 @@ class Synthesizer:
         # in a retractable scope, so the unboxed fallback reuses the
         # same session instead of a second solver.
         counter_f_enum = IncrementalEnumerator(
-            region.formula, target_vars, fs, self.config, with_box=True
+            region.formula, target_vars, fs, self.config
         )
         # Warm Verify: T(p) asserted once, each candidate's NOT T(p1)
         # pushed under an activation literal (certified configs keep
         # the sealed fresh-solver path inside verify_implied).
-        verifier = (
-            PredicateVerifier(
-                pred,
-                ctx,
-                bnb_budget=self.config.verify_budget,
-                certify=self.config.certify_verify,
-            )
-            if self.config.warm_sessions
-            else None
+        verifier = PredicateVerifier(
+            pred,
+            ctx,
+            bnb_budget=self.config.verify_budget,
+            certify=self.config.certify_verify,
         )
         # Warm TRUE counter-example mining: the base formula p is fixed
         # across iterations, only NOT p2 varies, so one enumerator with
@@ -368,16 +327,7 @@ class Synthesizer:
                     # The tighter verify budget keeps dense-coefficient
                     # integer feasibility checks from crawling; an unknown
                     # verdict is treated as invalid (sound, section 5.5).
-                    if verifier is not None:
-                        valid = verifier.verify(p2)
-                    else:
-                        valid = verify_implied(
-                            pred,
-                            p2,
-                            ctx,
-                            bnb_budget=self.config.verify_budget,
-                            certify=self.config.certify_verify,
-                        )
+                    valid = verifier.verify(p2)
                     verify_span.set(valid=valid)
                 trace = IterationTrace(index=iteration, learned=str(p2), valid=valid)
                 outcome.trace.append(trace)
@@ -435,10 +385,11 @@ class Synthesizer:
                         with timings.track("validation"), tracer.span(
                             "cegis.optimality", phase="verify", counters=True
                         ):
-                            sub_optimal = not _implication_holds(
+                            sub_optimal = not unsat_proven(
                                 conj([region.formula, p1.formula()]),
                                 self.config.bnb_budget,
                                 certify=self.config.certify_verify,
+                                origin="counter-f",
                             )
                         if sub_optimal:
                             status = VALID
@@ -465,48 +416,30 @@ class Synthesizer:
                         # point of Ts, and counter-examples must violate
                         # p2, so they are distinct by construction.  Only
                         # the points found within this call need blocking.
-                        if self.config.warm_sessions:
-                            if counter_t_enum is None:
-                                counter_t_enum = IncrementalEnumerator(
-                                    formula,
-                                    target_vars,
-                                    [],
-                                    self.config,
-                                    with_box=True,
-                                )
-                            # Candidate AND within-call blocking ride in one
-                            # retractable scope; nothing is blocked across
-                            # iterations (redundant by the Learn argument
-                            # above, and permanent NotOld atoms would bloat
-                            # every later theory round).
-                            scope = counter_t_enum.session.push(
-                                negate(p2.formula()), label="counter-t"
+                        if counter_t_enum is None:
+                            counter_t_enum = IncrementalEnumerator(
+                                formula, target_vars, [], self.config
                             )
-                            new_ts: list[Point] = []
-                            try:
-                                for _ in range(want):
-                                    point = counter_t_enum.next([])
-                                    if point is None:
-                                        point = counter_t_enum.next(
-                                            [], boxed=False
-                                        )
-                                    if point is None:
-                                        break
-                                    new_ts.append(point)
-                                    scope.add(
-                                        not_old_formula([point], target_vars)
-                                    )
-                            finally:
-                                scope.retract()
-                        else:
-                            counter_ts = sampler.sample(
-                                conj([formula, negate(p2.formula())]),
-                                target_vars,
-                                want,
-                                existing=None,
-                                random_attempts=0,
-                            )
-                            new_ts = counter_ts.points
+                        # Candidate AND within-call blocking ride in one
+                        # retractable scope; nothing is blocked across
+                        # iterations (redundant by the Learn argument
+                        # above, and permanent NotOld atoms would bloat
+                        # every later theory round).
+                        scope = counter_t_enum.session.push(
+                            negate(p2.formula()), label="counter-t"
+                        )
+                        new_ts: list[Point] = []
+                        try:
+                            for _ in range(want):
+                                point = counter_t_enum.next([])
+                                if point is None:
+                                    point = counter_t_enum.next([], boxed=False)
+                                if point is None:
+                                    break
+                                new_ts.append(point)
+                                scope.add(not_old_formula([point], target_vars))
+                        finally:
+                            scope.retract()
                         ct_span.set(found=len(new_ts))
                     if not new_ts:
                         # p implies p2 two-valuedly, yet 3VL verification
@@ -518,15 +451,12 @@ class Synthesizer:
                     ts.extend(new_ts)
 
         # Teardown: retract the warm helpers' surviving scopes (the
-        # sampling boxes and the warm verifier's probes) so abandoning
-        # them does not leave scopes_opened permanently ahead of
-        # scopes_retracted -- the counter gap the cold-path bench rows
-        # used to show.
+        # sampling boxes and the warm verifier's probes) so that
+        # scopes_opened and scopes_retracted balance.
         counter_f_enum.close()
         if counter_t_enum is not None:
             counter_t_enum.close()
-        if verifier is not None:
-            verifier.close()
+        verifier.close()
 
         with timings.track("validation"), tracer.span(
             "cegis.minimize", phase="minimize", counters=True

@@ -49,6 +49,45 @@ def learned_truth_formula(
     return disj([plane_truth_formula(plane, ctx) for plane in learned.planes])
 
 
+def unsat_proven(
+    formula: Formula,
+    bnb_budget: int = 4000,
+    *,
+    certify: bool = False,
+    origin: str = "verify",
+) -> bool:
+    """True iff ``formula`` is proven unsatisfiable on a one-shot solver.
+
+    Conservative on solver resource exhaustion: an *unknown* answer is
+    reported as "not proven", so Sia never claims an implication
+    (validity, optimality, redundancy) that was not actually proven.
+
+    ``certify=True`` removes the remaining trust in the solver itself:
+    the check runs on a sealed fresh proof-logging solver and the UNSAT
+    verdict only counts once the independent auditor
+    (:mod:`repro.analysis.certify`) accepts the proof, reported under
+    ``origin`` (``"verify"`` or ``"counter-f"``).  An audited verdict
+    that fails certification is treated as unproven, exactly like a
+    resource-exhausted one.
+    """
+    from ..smt import SolverError
+    from ..smt.theory import SolverBudgetError
+
+    try:
+        if not certify:
+            return not is_satisfiable(formula, bnb_budget=bnb_budget)
+        from ..analysis.certify import audit_proof
+        from ..smt import UNSAT
+
+        solver = certified_solver([formula], bnb_budget=bnb_budget)
+        assert solver.proof_log is not None
+        if solver.proof_log.result != UNSAT:
+            return False
+        return not audit_proof(solver.proof_log, origin=origin)
+    except (SolverError, SolverBudgetError):
+        return False
+
+
 def verify_implied(
     original: Pred,
     learned: DisjunctivePredicate,
@@ -57,91 +96,29 @@ def verify_implied(
     bnb_budget: int = 4000,
     certify: bool = False,
 ) -> bool:
-    """True iff ``original`` implies ``learned`` under three-valued logic.
-
-    Conservative on solver resource exhaustion: an *unknown* answer is
-    reported as "not valid", so Sia can never emit a predicate whose
-    validity was not actually proven.
-
-    ``certify=True`` removes the remaining trust in the solver itself:
-    the check runs with proof logging on and the UNSAT verdict only
-    counts once the independent auditor
-    (:mod:`repro.analysis.certify`) accepts the proof.  An audited
-    verdict that fails certification is treated as unproven, exactly
-    like a resource-exhausted one.
-    """
-    from ..smt import SolverError
-    from ..smt.theory import SolverBudgetError
-
+    """True iff ``original`` implies ``learned`` under three-valued logic:
+    ``T(p) AND NOT T(p1)`` is proven unsatisfiable (see
+    :func:`unsat_proven`, which also covers ``certify``)."""
     t_p = truth_formula(original, ctx)
     t_p1 = learned_truth_formula(learned, ctx)
-    obligation = conj([t_p, negate(t_p1)])
-    try:
-        if not certify:
-            return not is_satisfiable(obligation, bnb_budget=bnb_budget)
-        from ..analysis.certify import audit_proof
-        from ..smt import UNSAT
-
-        solver = certified_solver([obligation], bnb_budget=bnb_budget)
-        assert solver.proof_log is not None
-        if solver.proof_log.result != UNSAT:
-            return False
-        return not audit_proof(solver.proof_log, origin="verify")
-    except (SolverError, SolverBudgetError):
-        return False
-
-
-class WarmUnsatChecker:
-    """Warm UNSAT prover for ``base AND extra`` over a stream of extras.
-
-    The base formula is asserted once into a persistent
-    :class:`~repro.smt.session.SmtSession`; each :meth:`proves_unsat`
-    call pushes the extra formula under an activation literal, checks,
-    and retracts, so learned clauses about the base survive from one
-    query to the next.  Conservative like the one-shot helpers: an
-    unknown verdict (budget or round exhaustion) reports ``False`` --
-    "unsatisfiability not proven" -- never an over-claim.
-    """
-
-    def __init__(
-        self,
-        base: Formula,
-        *,
-        bnb_budget: int = 4000,
-    ) -> None:
-        self._session = SmtSession(bnb_budget=bnb_budget)
-        self._session.assert_base(base)
-
-    def close(self) -> None:
-        """Close the warm session."""
-        self._session.close()
-
-    def proves_unsat(
-        self, extra: Formula, *, bnb_budget: int | None = None
-    ) -> bool:
-        from ..smt import SolverError
-        from ..smt.theory import SolverBudgetError
-
-        scope = self._session.push(extra, label="probe")
-        try:
-            return self._session.check(bnb_budget=bnb_budget) != SAT
-        except (SolverError, SolverBudgetError):
-            return False
-        finally:
-            scope.retract()
+    return unsat_proven(
+        conj([t_p, negate(t_p1)]), bnb_budget, certify=certify, origin="verify"
+    )
 
 
 class PredicateVerifier:
     """Warm ``Verify`` for one (original predicate, context) pair.
 
-    Asserting the 3VL truth lift ``T(p)`` once and pushing each
-    candidate's ``NOT T(p1)`` under an activation literal keeps the
-    CDCL core warm across CEGIS iterations -- the candidates share
-    almost all of their atoms with ``p`` and with each other.  The
-    certified path (``certify=True``) bypasses the warm session
-    entirely: certificates must justify every clause, so those checks
-    run on a sealed fresh proof-logging solver via
-    :func:`verify_implied`.
+    Asserting the 3VL truth lift ``T(p)`` once into a persistent
+    :class:`~repro.smt.session.SmtSession` and pushing each candidate's
+    ``NOT T(p1)`` under an activation literal keeps the CDCL core warm
+    across CEGIS iterations -- the candidates share almost all of their
+    atoms with ``p`` and with each other.  Conservative like the
+    one-shot helpers: an unknown verdict (budget or round exhaustion)
+    reports "not valid", never an over-claim.  The certified path
+    (``certify=True``) bypasses the warm session entirely: certificates
+    must justify every clause, so those checks run on a sealed fresh
+    proof-logging solver via :func:`verify_implied`.
     """
 
     def __init__(
@@ -156,39 +133,45 @@ class PredicateVerifier:
         self._ctx = ctx
         self._bnb_budget = bnb_budget
         self._certify = certify
-        self._checker: WarmUnsatChecker | None = None
+        self._session: SmtSession | None = None
         if not certify:
-            self._checker = WarmUnsatChecker(
-                truth_formula(original, ctx), bnb_budget=bnb_budget
-            )
+            base = truth_formula(original, ctx)
+            self._session = SmtSession(bnb_budget=bnb_budget)
+            self._session.assert_base(base)
 
     def verify(self, learned: DisjunctivePredicate) -> bool:
         """True iff the original predicate implies ``learned`` (3VL)."""
         from ..obs.trace import get_tracer
+        from ..smt import SolverError
+        from ..smt.theory import SolverBudgetError
 
         with get_tracer().span(
-            "verify.implication",
-            certified=self._certify,
-            warm=self._checker is not None,
+            "verify.implication", certified=self._certify
         ) as span:
-            if self._checker is None:
+            if self._session is None:
                 result = verify_implied(
                     self._original,
                     learned,
                     self._ctx,
                     bnb_budget=self._bnb_budget,
-                    certify=self._certify,
+                    certify=True,
                 )
             else:
                 t_p1 = learned_truth_formula(learned, self._ctx)
-                result = self._checker.proves_unsat(negate(t_p1))
+                scope = self._session.push(negate(t_p1), label="probe")
+                try:
+                    result = self._session.check() != SAT
+                except (SolverError, SolverBudgetError):
+                    result = False
+                finally:
+                    scope.retract()
             span.set(implied=result)
             return result
 
     def close(self) -> None:
-        """Release the warm checker's session scopes (if any)."""
-        if self._checker is not None:
-            self._checker.close()
+        """Release the warm session's scopes (if any)."""
+        if self._session is not None:
+            self._session.close()
 
 
 def _columns_of_var(var, ctx: LinearizationContext):

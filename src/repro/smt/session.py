@@ -27,8 +27,8 @@ Proof-logging is deliberately *not* threaded through the warm path:
 a certificate must justify every clause in the log, and guard clauses
 of long-retracted scopes would bloat and obscure the audit trail.
 Certified checks (``proof=True`` callers) instead use
-:meth:`SmtSession.certified_check`, which runs a sealed fresh solver
-over exactly the formulas under audit -- see docs/INTERNALS.md,
+:func:`certified_solver`, which runs a sealed fresh solver over
+exactly the formulas under audit -- see docs/INTERNALS.md,
 "Incremental sessions".
 """
 
@@ -172,24 +172,10 @@ class Scope:
 class SmtSession:
     """A long-lived incremental solving session (see module docstring)."""
 
-    def __init__(
-        self,
-        *,
-        bnb_budget: int = 4000,
-        ordering_lemmas: bool = True,
-        minimize_cores: bool = False,
-        max_rounds: int = 50_000,
-    ) -> None:
+    def __init__(self, *, bnb_budget: int = 4000) -> None:
         GLOBAL_COUNTERS.sessions_created += 1
-        self._solver = Solver(
-            bnb_budget=bnb_budget,
-            ordering_lemmas=ordering_lemmas,
-            minimize_cores=minimize_cores,
-            max_rounds=max_rounds,
-        )
-        self._default_budget = bnb_budget
+        self._solver = Solver(bnb_budget=bnb_budget)
         self._scopes: list[Scope] = []
-        self._checks = 0
         # Theory-relevance bookkeeping: an atom referenced only by
         # retracted scopes is suppressed from theory rounds (see
         # Solver.suppress_atoms); base atoms are live forever.
@@ -303,7 +289,6 @@ class SmtSession:
         assumptions: list[Formula] | None = None,
         *,
         disable: Iterable[Scope] = (),
-        bnb_budget: int | None = None,
     ) -> str:
         """Run one check; returns ``"sat"`` or ``"unsat"``.
 
@@ -311,11 +296,9 @@ class SmtSession:
         assertions constrain the check exactly as if they were base
         formulas; scopes listed in ``disable`` sit this check out
         (dormant, not retracted).  ``assumptions`` are extra
-        literal-shaped formulas for this call only.  ``bnb_budget``
-        overrides the theory budget for this check.
+        literal-shaped formulas for this call only.
         """
         GLOBAL_COUNTERS.session_checks += 1
-        self._checks += 1
         skip = set(map(id, disable))
         lits: list[Formula] = [
             scope.selector for scope in self._scopes if id(scope) not in skip
@@ -338,9 +321,6 @@ class SmtSession:
                     ):
                         transient.append(atom)
             self._solver.unsuppress_atoms(transient)
-        self._solver.bnb_budget = (
-            self._default_budget if bnb_budget is None else bnb_budget
-        )
         tracer = get_tracer()
         span = (
             tracer.span(
@@ -375,53 +355,21 @@ class SmtSession:
         # checked-verdict contract and raises on a stale read.
         return self._solver.model()  # sia: allow(SIA008)
 
-    @property
-    def checks_served(self) -> int:
-        """Number of checks this session has run (reuse metric)."""
-        return self._checks
-
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Retract every scope still active and flush compaction.
 
-        Sessions abandoned with live scopes used to leave
-        ``scopes_opened`` permanently ahead of ``scopes_retracted``
-        (the ``scopes_retracted: 0`` artifact in the cold-path bench
-        rows), skewing scope-accounting comparisons between workloads.
-        Teardown now retracts whatever is left so the counters balance
-        and the clause database is collected once.  Idempotent; the
-        session remains usable for base-level checks afterwards.
+        Retracting whatever is left keeps ``scopes_opened`` and
+        ``scopes_retracted`` balanced and collects the clause database
+        once.  Idempotent; the session remains usable for base-level
+        checks afterwards.
         """
         for scope in list(self._scopes):
             scope.retract()
         if self._pending_dead_atoms or self._pending_dead_nodes:
             self._flush_compaction()
-
-    # ------------------------------------------------------------------
-    # Certified fallback
-    # ------------------------------------------------------------------
-    def certified_check(
-        self,
-        formulas: Iterable[Formula],
-        *,
-        bnb_budget: int | None = None,
-    ) -> Solver:
-        """Check ``formulas`` on a sealed fresh proof-logging solver.
-
-        The warm solver's clause database mixes guard clauses from many
-        retracted scopes, which a certificate auditor would have to
-        wade through; certified verdicts instead come from a fresh
-        ``proof=True`` solver holding exactly the audited formulas.
-        Returns the solver after :meth:`~repro.smt.solver.Solver.check`
-        so callers can read the verdict from ``proof_log.result``,
-        fetch a model, and hand the log to the auditor.
-        """
-        return certified_solver(
-            formulas,
-            bnb_budget=self._default_budget if bnb_budget is None else bnb_budget,
-        )
 
 
 def certified_solver(
@@ -431,9 +379,13 @@ def certified_solver(
 ) -> Solver:
     """Sealed fresh proof-logging solver over ``formulas``, checked.
 
-    The canonical entry point for certified verdicts (see
-    :meth:`SmtSession.certified_check`); callers read the verdict from
-    ``proof_log.result`` and hand the log to the auditor.
+    The canonical entry point for certified verdicts.  A session's warm
+    clause database mixes guard clauses from many retracted scopes,
+    which a certificate auditor would have to wade through; certified
+    verdicts instead come from a fresh ``proof=True`` solver holding
+    exactly the audited formulas.  Callers read the verdict from
+    ``proof_log.result``, fetch a model, and hand the log to the
+    auditor.
     """
     GLOBAL_COUNTERS.proof_fallbacks += 1
     solver = Solver(bnb_budget=bnb_budget, proof=True)

@@ -18,9 +18,11 @@ splitting lemma ``~(e = 0) -> (e < 0 | e > 0)`` added on demand.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Iterable
 
 from .cnf import CnfBuilder
@@ -40,6 +42,30 @@ from .theory import SolverBudgetError, check_conjunction
 
 SAT = "sat"
 UNSAT = "unsat"
+
+#: Sort key of a bound-chain entry ``(k0, k1, bound, strict, sat_var)``:
+#: chains ascend from the strongest bound to the weakest.
+_strength = itemgetter(0, 1)
+
+
+def _weakest_incompatible(
+    other: list, side: str, bound: Fraction, strict: bool
+) -> tuple | None:
+    """Weakest entry of the opposite chain ``other`` that contradicts
+    the new ``side`` bound, or None.
+
+    An upper bound ``u`` and a lower bound ``l`` are incompatible iff
+    ``u < l``, or ``u == l`` and either is strict.  Walking the
+    opposite chain from strongest to weakest only loosens its bound,
+    so the incompatible entries form a prefix and a bisect finds its
+    end.  On the opposite chain's key scale the new bound sits at
+    ``okey``: the prefix is every key below ``(okey, True)``, plus the
+    non-strict key ``(okey, True)`` itself when the new bound is strict.
+    """
+    okey = -bound if side == "upper" else bound
+    find = bisect.bisect_right if strict else bisect.bisect_left
+    end = find(other, (okey, True), key=_strength)
+    return other[end - 1] if end else None
 
 
 @dataclass
@@ -120,20 +146,6 @@ class Solver:
         self._leaf_key: tuple[int, int] | None = None
         self._live_atom_items: list[tuple[int, Atom]] = []
         self._bvar_items: list[tuple[int, BVar]] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def bnb_budget(self) -> int:
-        """Branch-and-bound node budget for theory checks.
-
-        Writable so a long-lived session can serve callers with
-        different budgets without rebuilding the solver.
-        """
-        return self._bnb_budget
-
-    @bnb_budget.setter
-    def bnb_budget(self, value: int) -> None:
-        self._bnb_budget = value
 
     # ------------------------------------------------------------------
     # Theory-relevance suppression (used by SmtSession)
@@ -469,8 +481,9 @@ class Solver:
         Insertion is incremental: each new atom links into its
         variable's sorted bound chain (implications to its neighbours)
         and gets one conflict clause against the weakest incompatible
-        opposite bound -- O(log n) work per new atom, so repeated
-        ``check()`` calls during model enumeration stay cheap.
+        opposite bound -- both found by bisect, O(log n) comparisons per
+        new atom, so repeated ``check()`` calls during model enumeration
+        stay cheap.
         """
         if not self._ordering_lemmas:
             return
@@ -508,13 +521,11 @@ class Solver:
         strict: bool,
         sat_var: int,
     ) -> None:
-        import bisect
-
         # Strength keys: uppers ascend (smaller bound stronger), lowers
         # descend (larger bound stronger); strict beats non-strict.
         key = (bound, not strict) if side == "upper" else (-bound, not strict)
         chain = chains[side]
-        index = bisect.bisect_left(chain, key, key=lambda t: (t[0], t[1]))
+        index = bisect.bisect_left(chain, key, key=_strength)
         entry = (key[0], key[1], bound, strict, sat_var)
         chain.insert(index, entry)
         if index > 0:
@@ -524,28 +535,11 @@ class Solver:
 
         # Conflict with the weakest incompatible bound on the other side.
         other = chains["lower" if side == "upper" else "upper"]
-        weakest = None
-        for candidate in other:  # sorted strongest -> weakest
-            if self._incompatible(side, bound, strict, candidate[2], candidate[3]):
-                weakest = candidate
-            else:
-                break
+        weakest = _weakest_incompatible(other, side, bound, strict)
         if weakest is not None:
             self._lemma([-sat_var, -weakest[4]])
         for value, eq_var in chains["eq"]:
             self._link_eq_to_bound(value, eq_var, side, bound, strict, sat_var)
-
-    @staticmethod
-    def _incompatible(
-        side: str,
-        bound: Fraction,
-        strict: bool,
-        other_bound: Fraction,
-        other_strict: bool,
-    ) -> bool:
-        upper_b, upper_s = (bound, strict) if side == "upper" else (other_bound, other_strict)
-        lower_b, lower_s = (other_bound, other_strict) if side == "upper" else (bound, strict)
-        return upper_b < lower_b or (upper_b == lower_b and (upper_s or lower_s))
 
     def _insert_eq(
         self, chains: dict[str, list[Any]], value: Fraction, sat_var: int

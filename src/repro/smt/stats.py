@@ -1,10 +1,10 @@
 """Process-wide solver instrumentation counters.
 
-The warm-session work (docs/INTERNALS.md, "Incremental sessions")
-is justified by *measured* reductions in solver construction and
-re-encoding work, so the substrate keeps cheap monotone counters that
-the micro-benchmarks (``benchmarks/bench_smt_micro.py``) and the
-parallel workload driver snapshot around their workloads:
+The substrate keeps cheap monotone counters of solver construction,
+checking and session work (docs/INTERNALS.md, "Incremental sessions")
+that the micro-benchmarks (``benchmarks/bench_smt_micro.py``), the
+end-to-end benchmark and the parallel workload driver snapshot around
+their workloads:
 
 * ``solvers_constructed`` -- ``Solver`` instances built (each one
   re-encodes CNF and grows a cold CDCL core from nothing),
@@ -33,14 +33,13 @@ parallel workload driver snapshot around their workloads:
 came from -- warm session checks and certified fallbacks included.
 ``session_checks`` counts the subset of ``checks`` served by a warm
 :class:`SmtSession` (so a warm check increments **both**, by design:
-``checks - session_checks`` is the cold-check count, and
+``checks - session_checks`` is the one-shot-check count, and
 ``session_checks / checks`` is the warm share).  A certified fallback
-(:func:`~repro.smt.session.certified_solver`, whether reached through
-``SmtSession.certified_check`` or directly) runs on a sealed fresh
+(:func:`~repro.smt.session.certified_solver`) runs on a sealed fresh
 solver: it increments ``solvers_constructed``, ``checks`` and
 ``proof_fallbacks``, and must **never** increment ``session_checks``
 -- it was not served warm, and counting it there would overstate the
-session-reuse factor the warm-CEGIS benchmarks report.
+session-reuse factor the benchmarks report.
 
 Counters are per process; the parallel driver aggregates the deltas
 its workers report.  This module sits below every other smt module so

@@ -114,7 +114,7 @@ def test_enumerate_all_limit():
 
 def test_incremental_enumerator_add():
     base = conj([compare(ex, ">=", c(0)), compare(ex, "<=", c(10))])
-    enum = IncrementalEnumerator(base, [X], [], SIA_DEFAULT, with_box=True)
+    enum = IncrementalEnumerator(base, [X], [], SIA_DEFAULT)
     first = enum.next([])
     assert first is not None
     enum.add(compare(ex, ">=", c(9)))

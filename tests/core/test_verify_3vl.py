@@ -1,7 +1,17 @@
 """Tests for Verify under three-valued logic (section 5.2/5.5)."""
 
-from repro.core import verify_implied
-from repro.core.verify import learned_truth_formula, plane_truth_formula
+import importlib
+from dataclasses import replace
+
+import pytest
+
+from repro.core import OPTIMAL, SIA_DEFAULT, Synthesizer, verify_implied
+from repro.core.verify import (
+    PredicateVerifier,
+    learned_truth_formula,
+    plane_truth_formula,
+    unsat_proven,
+)
 from repro.learn import DisjunctivePredicate, Hyperplane
 from repro.predicates import (
     Col,
@@ -15,6 +25,8 @@ from repro.predicates import (
     por,
 )
 from repro.smt import Not, conj, is_satisfiable
+from repro.smt.stats import GLOBAL_COUNTERS
+from repro.tpch import generate_workload
 
 A = Column("t", "a", INTEGER)
 B = Column("t", "b", INTEGER)
@@ -124,3 +136,73 @@ def test_learned_truth_formula_is_disjunction_of_plane_truths():
     assert not is_satisfiable(
         conj([truth, ctx.null_flag(A), ctx.null_flag(B)])
     )
+
+
+@pytest.mark.parametrize(
+    "query, columns",
+    [
+        (0, ("l_shipdate", "l_receiptdate")),  # 13 invalid candidates
+        (5, ("l_commitdate", "l_receiptdate")),  # invalid and valid ones
+    ],
+)
+def test_warm_verifier_agrees_with_fresh_verify_implied(monkeypatch, query, columns):
+    """The warm session ``Verify`` is the only CEGIS path: on every
+    candidate Sia learns it must return what a one-shot solver says."""
+    verdicts = []
+
+    class CheckedVerifier(PredicateVerifier):
+        def __init__(self, original, ctx, *, bnb_budget, certify):
+            super().__init__(original, ctx, bnb_budget=bnb_budget, certify=certify)
+            self.args = (original, ctx, bnb_budget)
+
+        def verify(self, learned):
+            warm = super().verify(learned)
+            original, ctx, bnb_budget = self.args
+            fresh = verify_implied(original, learned, ctx, bnb_budget=bnb_budget)
+            verdicts.append((warm, fresh))
+            return warm
+
+    # ``repro.core.synthesize`` names the function, not the module the
+    # Synthesizer looks the verifier up in.
+    module = importlib.import_module("repro.core.synthesize")
+    monkeypatch.setattr(module, "PredicateVerifier", CheckedVerifier)
+    wq = generate_workload(8, seed=42)[query]
+    targets = {col for col in wq.predicate.columns() if col.name in columns}
+    outcome = Synthesizer(SIA_DEFAULT).synthesize(wq.predicate, targets)
+    assert outcome.status == OPTIMAL
+    assert [warm for warm, _ in verdicts] == [t.valid for t in outcome.trace]
+    assert any(not warm for warm, _ in verdicts)
+    assert all(warm == fresh for warm, fresh in verdicts)
+
+
+def test_certified_synthesis_matches_the_warm_path():
+    """``certify_verify`` routes Verify and the optimality probe through
+    audited sealed solvers; the verdicts, and so the result, must not
+    change."""
+    wq = generate_workload(8, seed=42)[5]
+    targets = {
+        col
+        for col in wq.predicate.columns()
+        if col.name in ("l_commitdate", "l_receiptdate")
+    }
+    warm = Synthesizer(SIA_DEFAULT).synthesize(wq.predicate, targets)
+    before = GLOBAL_COUNTERS.snapshot()
+    certified = Synthesizer(replace(SIA_DEFAULT, certify_verify=True)).synthesize(
+        wq.predicate, targets
+    )
+    fallbacks = GLOBAL_COUNTERS.delta_since(before)["proof_fallbacks"]
+    assert certified.status == warm.status == OPTIMAL
+    assert [t.valid for t in certified.trace] == [t.valid for t in warm.trace]
+    assert str(certified.predicate) == str(warm.predicate)
+    # One audited Verify per iteration, plus the optimality probe.
+    assert fallbacks == certified.iterations + 1
+
+
+def test_unsat_proven_with_certification():
+    negative = Comparison(Col(A), "<", Lit.integer(0))
+    positive = Comparison(Col(A), ">", Lit.integer(0))
+    contradiction, _ = lower_predicate(pand([negative, positive]))
+    satisfiable, _ = lower_predicate(negative)
+    for certify in (False, True):
+        assert unsat_proven(contradiction, certify=certify, origin="counter-f")
+        assert not unsat_proven(satisfiable, certify=certify)

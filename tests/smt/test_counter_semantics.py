@@ -6,9 +6,9 @@ must not drift:
 
 * a warm :meth:`SmtSession.check` increments both ``checks`` and
   ``session_checks`` (the latter is a *subset* of the former);
-* a certified fallback (``certified_check`` / ``certified_solver``)
-  increments ``solvers_constructed``, ``checks`` and
-  ``proof_fallbacks`` but never ``session_checks``.
+* a certified fallback (``certified_solver``) increments
+  ``solvers_constructed``, ``checks`` and ``proof_fallbacks`` but never
+  ``session_checks``.
 """
 
 from repro.smt import LE, SAT, UNSAT, Atom, LinExpr, SmtSession, Var, conj
@@ -50,12 +50,12 @@ def test_certified_fallback_never_counts_as_session_check():
     assert delta["session_checks"] == 0
 
 
-def test_certified_check_on_a_session_bypasses_the_warm_path():
+def test_certified_solver_beside_a_session_bypasses_the_warm_path():
     session = SmtSession()
     session.assert_base(_box(0, 10))
     session.check()  # warm the session so the fallback delta is isolated
     before = GLOBAL_COUNTERS.snapshot()
-    solver = session.certified_check([_box(0, 10), _box(20, 30)])
+    solver = certified_solver([_box(0, 10), _box(20, 30)])
     delta = GLOBAL_COUNTERS.delta_since(before)
     assert solver.proof_log.result == UNSAT
     assert delta["session_checks"] == 0

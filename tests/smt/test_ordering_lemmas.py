@@ -5,6 +5,7 @@ satisfiability, across any interleaving of checks and additions.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from repro.smt import (
     conj,
     disj,
 )
+from repro.smt.solver import _weakest_incompatible
 
 X = Var("x")
 Y = Var("y")
@@ -122,3 +124,44 @@ def test_enumeration_with_notold_agrees(seed):
         return seen
 
     assert count_models(True) == count_models(False) == hi - lo + 1
+
+
+def _incompatible(upper, upper_strict, lower, lower_strict):
+    """``x < upper`` (or ``<=``) contradicts ``x > lower`` (or ``>=``)."""
+    return upper < lower or (upper == lower and (upper_strict or lower_strict))
+
+
+def _linear_weakest(other, side, bound, strict):
+    """Reference: scan the opposite chain from strongest to weakest."""
+    weakest = None
+    for entry in other:
+        if side == "upper":
+            clash = _incompatible(bound, strict, entry[2], entry[3])
+        else:
+            clash = _incompatible(entry[2], entry[3], bound, strict)
+        if not clash:
+            break
+        weakest = entry
+    return weakest
+
+
+def test_weakest_incompatible_bisect_matches_linear_scan():
+    rng = random.Random(0)
+    for _ in range(3000):
+        side = rng.choice(["upper", "lower"])
+        # A handful of bound values, halves included, so ties between
+        # the new bound and the opposite chain (and within it) are common.
+        values = [
+            Fraction(rng.randint(-8, 8), rng.choice([1, 2])) for _ in range(4)
+        ]
+        other = []
+        for index in range(rng.randint(0, 12)):
+            value, other_strict = rng.choice(values), rng.random() < 0.5
+            # The opposite chain's strength key, as Solver._insert_bound
+            # builds it: uppers ascend, lowers descend, strict first.
+            k0 = -value if side == "upper" else value
+            other.append((k0, not other_strict, value, other_strict, index))
+        other.sort(key=lambda entry: (entry[0], entry[1]))
+        bound, strict = rng.choice(values), rng.random() < 0.5
+        found = _weakest_incompatible(other, side, bound, strict)
+        assert found is _linear_weakest(other, side, bound, strict)
