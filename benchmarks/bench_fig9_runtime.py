@@ -3,10 +3,13 @@ execution at two scale factors.
 
 Paper reference (200 queries, 114 rewritten): at SF 1, 85 faster / 36
 at least 2x faster / 29 slower; at SF 10, 95 faster / 66 at least 2x
-faster / 19 slower.  Expected shape: a majority of rewritten queries
-win, and the win rate does not degrade at the larger scale factor.
-Both wall-clock and the engine's tuple-flow cost proxy are reported
-(the latter is hardware-independent).
+faster / 19 slower.  Expected shape: by the engine's tuple-flow cost
+proxy (hardware-independent), a majority of rewritten queries win at
+the larger scale factor; that is what the test asserts.  Wall-clock is
+reported too, but with the engine's cheap direct-address join only the
+selective rewrites win clearly; rewrites with selectivity near 0.5 or
+above run within a few percent of 1.0x, so the wall-clock winner count
+moves from run to run.
 """
 
 from repro.bench import (

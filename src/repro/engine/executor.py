@@ -1,7 +1,11 @@
 """Plan execution over columnar relations.
 
-All operators are vectorised numpy; the hash join uses the
-sort-and-searchsorted equi-join idiom (no Python-level row loops).
+All operators are vectorised numpy (no Python-level row loops). The
+equi-join matches unique integer build keys through a direct-address
+table over the build side's key span: one gather per probe row. Keys it
+cannot take -- non-integer, repeated on the build side, or a span wider
+than :data:`DENSE_SPAN_FACTOR` times the build side -- fall back to the
+sort-and-searchsorted idiom. Both give the same rows in the same order.
 Every operator records rows-in/rows-out in :class:`ExecutionStats`.
 """
 
@@ -12,7 +16,7 @@ import numpy as np
 
 from ..obs.clock import now as _now
 from ..errors import PlanError
-from ..predicates import eval_pred_numpy
+from ..predicates import Column, eval_pred_numpy
 from .catalog import Catalog
 from .plan import (
     Aggregate,
@@ -128,49 +132,111 @@ def _run(plan: PlanNode, catalog: Catalog, stats: ExecutionStats) -> Relation:
 
 
 # ----------------------------------------------------------------------
+#: The dense equi-join path allocates one 8-byte slot per key in the
+#: build side's [min, max] span. It runs only when that span is at most
+#: this many times the build side's non-NULL keys: at 4, the table takes
+#: no more memory than a hash table of (key, row) pairs at load factor
+#: one half. Sparser, repeated or non-integer build keys take the
+#: sort-and-searchsorted path.
+DENSE_SPAN_FACTOR = 4
+
+_INT64 = np.iinfo(np.int64)
+
+
 def _hash_join(left: Relation, right: Relation, node: HashJoin) -> Relation:
+    """Inner equi-join; rows come out in probe order, and each probe
+    row's matches in build-row order (the stable-sort order)."""
     # Build on the smaller input (standard practice; also what makes a
     # pushed-down filter pay off on the probe side).
     if right.num_rows < left.num_rows:
         swapped = HashJoin(node.right, node.left, node.right_key, node.left_key)
         return _hash_join(right, left, swapped)
-    left_values, left_nulls = left.values_and_nulls(node.left_key)
-    right_values, right_nulls = right.values_and_nulls(node.right_key)
+    build_valid, build_keys = _valid_keys(left, node.left_key)
+    probe_valid, probe_keys = _valid_keys(right, node.right_key)
 
-    left_valid = (
-        np.arange(left.num_rows)
-        if left_nulls is None
-        else np.flatnonzero(~left_nulls)
-    )
-    right_valid = (
-        np.arange(right.num_rows)
-        if right_nulls is None
-        else np.flatnonzero(~right_nulls)
-    )
-    build_keys = left_values[left_valid]
-    probe_keys = right_values[right_valid]
+    if len(build_keys) == 0 or len(probe_keys) == 0:
+        build_rows = probe_rows = np.empty(0, dtype=np.intp)
+    else:
+        matched = _dense_match(build_keys, probe_keys)
+        if matched is None:
+            matched = _sorted_match(build_keys, probe_keys)
+        build_rows, probe_rows = matched
 
+    if build_valid is not None:
+        build_rows = build_valid[build_rows]
+    if probe_valid is not None:
+        probe_rows = probe_valid[probe_rows]
+    return left.take(build_rows).merge(right.take(probe_rows))
+
+
+def _valid_keys(
+    relation: Relation, key: Column
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The non-NULL key values, with their row numbers (None: all rows)."""
+    values, nulls = relation.values_and_nulls(key)
+    if nulls is None:
+        return None, values
+    valid = np.flatnonzero(~nulls)
+    return valid, values[valid]
+
+
+def _dense_match(
+    build_keys: np.ndarray, probe_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Match through a direct-address table over the build key span.
+
+    Returns None when a key column is not integer, a build key repeats,
+    or the span is wider than :data:`DENSE_SPAN_FACTOR` times the build
+    keys.
+    """
+    if not (_int64_safe(build_keys) and _int64_safe(probe_keys)):
+        return None
+    build_keys = build_keys.astype(np.int64, copy=False)
+    probe_keys = probe_keys.astype(np.int64, copy=False)
+    # One empty slot on each side of [low, high] catches the probe keys
+    # outside it, so the probe needs no range mask.
+    floor, ceiling = int(build_keys.min()) - 1, int(build_keys.max()) + 1
+    span = ceiling - floor + 1
+    if (
+        span > DENSE_SPAN_FACTOR * len(build_keys)
+        or floor < _INT64.min
+        or ceiling > _INT64.max
+    ):
+        return None
+    build_slots = build_keys - floor
+    probe_slots = np.clip(probe_keys, floor, ceiling)
+    probe_slots -= floor
+
+    slot_row = np.full(span, -1, dtype=np.intp)
+    slot_row[build_slots] = np.arange(len(build_keys))
+    if np.count_nonzero(slot_row >= 0) < len(build_keys):
+        return None
+    build_rows = slot_row[probe_slots]
+    hit = build_rows >= 0
+    if hit.all():
+        return build_rows, np.arange(len(probe_keys))
+    probe_rows = np.flatnonzero(hit)
+    return build_rows[probe_rows], probe_rows
+
+
+def _int64_safe(keys: np.ndarray) -> bool:
+    return keys.dtype.kind in "iu" and np.can_cast(keys.dtype, np.int64)
+
+
+def _sorted_match(
+    build_keys: np.ndarray, probe_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-and-searchsorted match, for keys the dense path cannot take."""
     order = np.argsort(build_keys, kind="stable")
     sorted_keys = build_keys[order]
     lo = np.searchsorted(sorted_keys, probe_keys, side="left")
     hi = np.searchsorted(sorted_keys, probe_keys, side="right")
     counts = hi - lo
-    total = int(counts.sum())
-
     probe_rows = np.repeat(np.arange(len(probe_keys)), counts)
     # Flattened [lo_i, hi_i) ranges without a Python loop.
-    if total:
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total) - offsets
-        build_positions = np.repeat(lo, counts) + within
-        build_rows = order[build_positions]
-    else:
-        build_rows = np.empty(0, dtype=np.int64)
-        probe_rows = np.empty(0, dtype=np.int64)
-
-    left_out = left.take(left_valid[build_rows])
-    right_out = right.take(right_valid[probe_rows])
-    return left_out.merge(right_out)
+    offsets = np.cumsum(counts) - counts
+    within = np.arange(len(probe_rows)) - offsets[probe_rows]
+    return order[lo[probe_rows] + within], probe_rows
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +255,7 @@ def _aggregate(child: Relation, node: Aggregate) -> Relation:
     for i, col in enumerate(node.group_by):
         data[col] = (uniq[:, i], None)
 
-    from ..predicates import Column, DOUBLE, INTEGER
+    from ..predicates import DOUBLE, INTEGER
 
     for spec in node.aggregates:
         values = _apply_agg(spec, child, inverse, group_count)

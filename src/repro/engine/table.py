@@ -12,7 +12,10 @@ optional selection-index array (the classic columnar selection-vector
 design): filters and joins only compose index arrays, and values are
 gathered once, when an operator actually reads the column.  This keeps
 a pushed-down filter from paying a full materialisation of every
-column it never touches.
+column it never touches.  Columns that came through the same operators
+share one index array object: :meth:`Relation.take` composes each
+distinct selection vector once, so a join costs one gather per input
+side, not one per column.
 """
 
 from __future__ import annotations
@@ -39,13 +42,6 @@ class _LazyColumn:
         gathered = self.values[self.indices]
         gathered_nulls = None if self.nulls is None else self.nulls[self.indices]
         return gathered, gathered_nulls
-
-    def take(self, indices: np.ndarray) -> "_LazyColumn":
-        if self.indices is None:
-            composed = indices
-        else:
-            composed = self.indices[indices]
-        return _LazyColumn(self.values, self.nulls, composed)
 
     @property
     def itemsize(self) -> int:
@@ -134,7 +130,20 @@ class Relation:
     # Transformations (index composition only; no data movement)
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "Relation":
-        data = {column: lazy.take(indices) for column, lazy in self.data.items()}
+        # Columns that came through the same filters and joins share one
+        # selection vector: compose each distinct vector once, and let
+        # its columns share the result.
+        composed: dict[int, np.ndarray] = {}
+        data = {}
+        for column, lazy in self.data.items():
+            if lazy.indices is None:
+                selection = indices
+            else:
+                selection = composed.get(id(lazy.indices))
+                if selection is None:
+                    selection = lazy.indices[indices]
+                    composed[id(lazy.indices)] = selection
+            data[column] = _LazyColumn(lazy.values, lazy.nulls, selection)
         return Relation(data, len(indices))
 
     def filter(self, mask: np.ndarray) -> "Relation":

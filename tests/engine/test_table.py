@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.engine import Catalog, Table
+from repro.engine import Catalog, Filter, HashJoin, Scan, Table, execute
 from repro.errors import CatalogError
-from repro.predicates import Column, INTEGER
+from repro.predicates import Col, Column, Comparison, INTEGER, Lit
 
 
 def make_table():
@@ -98,3 +98,55 @@ def test_catalog():
     with pytest.raises(CatalogError):
         catalog.get("nope")
     assert catalog.schema() == {"t": {"a": INTEGER, "b": INTEGER}}
+
+
+def test_join_output_columns_share_one_selection_vector():
+    rng = np.random.default_rng(3)
+    catalog = Catalog()
+    catalog.register(
+        Table(
+            "o",
+            {"k": INTEGER, "x": INTEGER, "y": INTEGER},
+            {"k": np.arange(50), "x": rng.integers(0, 9, 50), "y": np.arange(50) * 7},
+            {"y": rng.random(50) < 0.2},
+        )
+    )
+    catalog.register(
+        Table(
+            "l",
+            {"k": INTEGER, "v": INTEGER, "w": INTEGER},
+            {
+                "k": rng.integers(0, 60, 400),
+                "v": rng.integers(0, 100, 400),
+                "w": np.arange(400),
+            },
+        )
+    )
+    o, l_ = catalog.get("o"), catalog.get("l")
+    join = HashJoin(
+        Filter(Scan("o"), Comparison(Col(o.column_ref("x")), ">", Lit.integer(3))),
+        Filter(Scan("l"), Comparison(Col(l_.column_ref("v")), "<", Lit.integer(60))),
+        o.column_ref("k"),
+        l_.column_ref("k"),
+    )
+    # The filter above the join composes both inputs' vectors in one take.
+    above = Comparison(Col(l_.column_ref("w")), ">", Col(o.column_ref("y")))
+    rel, _ = execute(Filter(join, above), catalog)
+    # A nested loop over the filtered rows, in probe (l) order.
+    pairs = [
+        (i, j)
+        for j in np.flatnonzero(l_.columns["v"] < 60)
+        for i in np.flatnonzero(o.columns["x"] > 3)
+        if o.columns["k"][i] == l_.columns["k"][j]
+        and not o.nulls["y"][i]
+        and l_.columns["w"][j] > o.columns["y"][i]
+    ]
+    assert rel.num_rows == len(pairs) > 0
+    for table, rows in ((o, [i for i, _ in pairs]), (l_, [j for _, j in pairs])):
+        lazies = [rel.data[ref] for ref in table.column_refs()]
+        assert all(lazy.indices is lazies[0].indices for lazy in lazies)
+        for ref in table.column_refs():
+            values, nulls = rel.values_and_nulls(ref)
+            np.testing.assert_array_equal(values, table.columns[ref.name][rows])
+            if ref.name in table.nulls:
+                np.testing.assert_array_equal(nulls, table.nulls[ref.name][rows])
