@@ -10,6 +10,14 @@ Strict inequalities are handled symbolically with *delta-rationals*
 ``r + k * delta`` where ``delta`` is an infinitesimal; a concrete
 positive value for ``delta`` is computed after a satisfying assignment
 is found (:func:`concretize_delta`).
+
+Every scalar inside the tableau -- row coefficients, bound values,
+Farkas multipliers and the parts of each delta-rational -- is an
+``int`` when it is integral and a ``Fraction`` only otherwise
+(:func:`~repro.smt.terms.exact_scalar`).  The two compare and combine
+to the same exact values, so the pivots do not change, but integer
+arithmetic runs in C.  Models and Farkas witnesses leave the module as
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,11 +29,9 @@ from typing import Hashable, Iterable, Mapping
 
 from .formula import EQ, LE, LT, Atom
 from .stats import GLOBAL_COUNTERS
-from .terms import LinExpr, Var
+from .terms import LinExpr, Scalar, Var, as_fraction, exact_scalar
 
 Tag = Hashable
-
-_ZERO = Fraction(0)
 
 
 class DeltaRational:
@@ -36,7 +42,7 @@ class DeltaRational:
 
     __slots__ = ("real", "k")
 
-    def __init__(self, real: Fraction, k: Fraction = _ZERO) -> None:
+    def __init__(self, real: Scalar, k: Scalar = 0) -> None:
         self.real = real
         self.k = k
 
@@ -49,13 +55,19 @@ class DeltaRational:
         return hash((self.real, self.k))
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real + other.real, self.k + other.k)
+        return DeltaRational(
+            exact_scalar(self.real + other.real), exact_scalar(self.k + other.k)
+        )
 
     def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real - other.real, self.k - other.k)
+        return DeltaRational(
+            exact_scalar(self.real - other.real), exact_scalar(self.k - other.k)
+        )
 
-    def scale(self, factor: Fraction) -> "DeltaRational":
-        return DeltaRational(self.real * factor, self.k * factor)
+    def scale(self, factor: Scalar) -> "DeltaRational":
+        return DeltaRational(
+            exact_scalar(self.real * factor), exact_scalar(self.k * factor)
+        )
 
     def __lt__(self, other: "DeltaRational") -> bool:
         return (self.real, self.k) < (other.real, other.k)
@@ -75,59 +87,62 @@ class DeltaRational:
         return f"{self.real}{'+' if self.k > 0 else '-'}{abs(self.k)}d"
 
 
-DR_ZERO = DeltaRational(Fraction(0))
+DR_ZERO = DeltaRational(0)
 
 
-def _dr(real: Fraction | int, k: Fraction | int = 0) -> DeltaRational:
-    return DeltaRational(Fraction(real), Fraction(k))
+def _inverse(a: Scalar) -> Scalar:
+    """Exact ``1 / a``: ``a`` itself for a unit, never a float."""
+    if type(a) is int:
+        return a if a == 1 or a == -1 else Fraction(1, a)
+    return exact_scalar(Fraction(1) / a)
 
 
 @functools.lru_cache(maxsize=262_144)
 def _describe_atom(
     atom: Atom,
-) -> tuple[str, bool] | tuple[str, Fraction, Fraction, bool]:
+) -> tuple[str, bool] | tuple[str, Scalar, Scalar, bool]:
     """Per-atom assertion preprocessing, memoised across Simplex
     instances (the DPLL(T) loop rebuilds the tableau every round, but
     the exact-rational normalisation of each atom never changes).
 
     Returns ``("const", holds)`` for constant atoms, else
     ``("bound", scale, rhs, strict)`` where the constraint is
-    ``slack_form op rhs`` after dividing by ``scale``.
+    ``slack_form op rhs`` after dividing by ``scale``; both scalars are
+    ints when integral.
     """
     expr = atom.expr
     if expr.is_constant:
         return ("const", atom.holds(expr.const))
     if atom.op not in (LE, LT, EQ):
         raise ValueError(f"simplex cannot assert op {atom.op!r} directly")
-    scale = Fraction(1)
+    scale: Scalar = 1
     if len(expr.coeffs) == 1:
-        (var,) = expr.coeffs
-        scale = expr.coeffs[var]
+        (scale,) = expr.coeffs.values()
     rhs = -expr.const / scale if scale != 1 else -expr.const
-    return ("bound", scale, rhs, atom.op == LT)
+    return ("bound", exact_scalar(scale), exact_scalar(rhs), atom.op == LT)
 
 
 #: One bound an atom asserts on its slack: ``(value, mu)`` as stored in
 #: :class:`_Bound`.
-_BoundSpec = tuple[DeltaRational, Fraction]
+_BoundSpec = tuple[DeltaRational, Scalar]
 
 
 @functools.lru_cache(maxsize=262_144)
 def _exact_bounds(
     atom: Atom,
-) -> tuple[frozenset[tuple[Var, Fraction]], _BoundSpec | None, _BoundSpec | None]:
+) -> tuple[frozenset[tuple[Var, Scalar]], _BoundSpec | None, _BoundSpec | None]:
     """The slack key, upper bound and lower bound for a
     non-constant atom, memoised like :func:`_describe_atom` so a round
     does not rebuild the same delta-rationals for every atom."""
     _, scale, rhs, strict = _describe_atom(atom)
-    key = frozenset(atom.expr.coeffs.items())
+    key = frozenset((var, exact_scalar(coeff)) for var, coeff in atom.expr.coeffs.items())
+    inv = _inverse(scale)
     if atom.op == EQ:
-        inv = Fraction(1) / scale
-        return key, (_dr(rhs), inv), (_dr(rhs), -inv)
+        return key, (DeltaRational(rhs), inv), (DeltaRational(rhs), -inv)
     if scale > 0:
-        return key, (_dr(rhs, -1 if strict else 0), Fraction(1) / scale), None
+        return key, (DeltaRational(rhs, -1 if strict else 0), inv), None
     # Dividing by a negative scale flips the inequality.
-    return key, None, (_dr(rhs, 1 if strict else 0), Fraction(-1) / scale)
+    return key, None, (DeltaRational(rhs, 1 if strict else 0), -inv)
 
 
 class TheoryConflict(Exception):
@@ -165,7 +180,7 @@ class _Bound:
 
     value: DeltaRational
     tag: Tag
-    mu: Fraction
+    mu: Scalar
     expr: LinExpr
     op: str
 
@@ -187,9 +202,9 @@ class Simplex:
     def __init__(self) -> None:
         self._order: dict[Var, int] = {}  # Bland's rule ordering
         self._slack_count = 0
-        self._slack_of_form: dict[frozenset[tuple[Var, Fraction]], Var] = {}
+        self._slack_of_form: dict[frozenset[tuple[Var, Scalar]], Var] = {}
         # rows: basic -> {nonbasic: coeff}; basic = sum coeff * nonbasic
-        self.rows: dict[Var, dict[Var, Fraction]] = {}
+        self.rows: dict[Var, dict[Var, Scalar]] = {}
         self.lower: dict[Var, _Bound] = {}
         self.upper: dict[Var, _Bound] = {}
         self.beta: dict[Var, DeltaRational] = {}
@@ -204,7 +219,7 @@ class Simplex:
         return var
 
     def _slack_for(
-        self, expr: LinExpr, key: frozenset[tuple[Var, Fraction]]
+        self, expr: LinExpr, key: frozenset[tuple[Var, Scalar]]
     ) -> Var:
         """Slack variable for the homogeneous part of ``expr`` (whose
         coefficient items are ``key``).
@@ -226,16 +241,16 @@ class Simplex:
         self._slack_count += 1
         slack = Var(f"__slack{self._slack_count}", "real")
         self._intern(slack)
-        row: dict[Var, Fraction] = {}
+        row: dict[Var, Scalar] = {}
         for var, coeff in expr.coeffs.items():
             self._intern(var)
-            row[var] = coeff
+            row[var] = exact_scalar(coeff)
         self.rows[slack] = row
         self.beta[slack] = self._row_value(row)
         self._slack_of_form[key] = slack
         return slack
 
-    def _row_value(self, row: Mapping[Var, Fraction]) -> DeltaRational:
+    def _row_value(self, row: Mapping[Var, Scalar]) -> DeltaRational:
         total = DR_ZERO
         for var, coeff in row.items():
             total = total + self.beta[var].scale(coeff)
@@ -267,7 +282,7 @@ class Simplex:
         if low is not None and value < low.value:
             raise TheoryConflict(
                 frozenset([new.tag, low.tag]),
-                farkas=_merge_farkas([(Fraction(1), new), (Fraction(1), low)]),
+                farkas=_merge_farkas([(1, new), (1, low)]),
             )
         up = self.upper.get(var)
         if up is not None and up.value <= value:
@@ -282,7 +297,7 @@ class Simplex:
         if up is not None and up.value < value:
             raise TheoryConflict(
                 frozenset([new.tag, up.tag]),
-                farkas=_merge_farkas([(Fraction(1), new), (Fraction(1), up)]),
+                farkas=_merge_farkas([(1, new), (1, up)]),
             )
         low = self.lower.get(var)
         if low is not None and low.value >= value:
@@ -305,7 +320,7 @@ class Simplex:
     def _pivot_and_update(self, basic: Var, nonbasic: Var, value: DeltaRational) -> None:
         row = self.rows[basic]
         a = row[nonbasic]
-        theta = (value - self.beta[basic]).scale(Fraction(1) / a)
+        theta = (value - self.beta[basic]).scale(_inverse(a))
         self.beta[basic] = value
         self.beta[nonbasic] = self.beta[nonbasic] + theta
         for other_basic, other_row in self.rows.items():
@@ -322,9 +337,10 @@ class Simplex:
         row = self.rows.pop(basic)
         a = row.pop(nonbasic)
         # nonbasic = (basic - sum(other coeffs)) / a
-        new_row: dict[Var, Fraction] = {basic: Fraction(1) / a}
+        inv = _inverse(a)
+        new_row: dict[Var, Scalar] = {basic: inv}
         for var, coeff in row.items():
-            new_row[var] = -coeff / a
+            new_row[var] = exact_scalar(-coeff * inv)
         self.rows[nonbasic] = new_row
         for other_basic in list(self.rows):
             if other_basic is nonbasic:
@@ -334,7 +350,7 @@ class Simplex:
             if coeff is None or coeff == 0:
                 continue
             for var, sub_coeff in new_row.items():
-                merged = other_row.get(var, Fraction(0)) + coeff * sub_coeff
+                merged = exact_scalar(other_row.get(var, 0) + coeff * sub_coeff)
                 if merged == 0:
                     other_row.pop(var, None)
                 else:
@@ -421,16 +437,16 @@ class Simplex:
         auditor re-verifies over the original atom expressions.
         """
         row = self.rows[basic]
-        uses: list[tuple[Fraction, _Bound]] = []
+        uses: list[tuple[Scalar, _Bound]] = []
         if needs_increase:
-            uses.append((Fraction(1), self.lower[basic]))
+            uses.append((1, self.lower[basic]))
             for nonbasic, coeff in row.items():
                 if coeff > 0:
                     uses.append((coeff, self.upper[nonbasic]))
                 elif coeff < 0:
                     uses.append((-coeff, self.lower[nonbasic]))
         else:
-            uses.append((Fraction(1), self.upper[basic]))
+            uses.append((1, self.upper[basic]))
             for nonbasic, coeff in row.items():
                 if coeff > 0:
                     uses.append((coeff, self.lower[nonbasic]))
@@ -443,15 +459,15 @@ class Simplex:
 
 
 def _merge_farkas(
-    uses: Iterable[tuple[Fraction, _Bound]],
+    uses: Iterable[tuple[Scalar, _Bound]],
 ) -> tuple[tuple[Fraction, Tag, LinExpr, str], ...]:
     """Aggregate weighted bound uses into per-tag Farkas coefficients.
 
     An equality atom can appear through both of its bounds in one
     conflict; its signed contributions are summed (any sign is valid
-    for an ``=`` constraint).
+    for an ``=`` constraint).  The coefficients leave as ``Fraction``.
     """
-    merged: dict[Tag, tuple[Fraction, LinExpr, str]] = {}
+    merged: dict[Tag, tuple[Scalar, LinExpr, str]] = {}
     for weight, bound in uses:
         coeff = weight * bound.mu
         prior = merged.get(bound.tag)
@@ -459,7 +475,8 @@ def _merge_farkas(
             coeff = prior[0] + coeff
         merged[bound.tag] = (coeff, bound.expr, bound.op)
     return tuple(
-        (coeff, tag, expr, op) for tag, (coeff, expr, op) in merged.items()
+        (as_fraction(coeff), tag, expr, op)
+        for tag, (coeff, expr, op) in merged.items()
     )
 
 
@@ -497,7 +514,7 @@ def concretize_delta(
                 k += coeff * value.k
             if k > 0:
                 # real + k*delta (<|<=) 0 requires delta (<|<=) -real/k.
-                limit = -real / k
+                limit = Fraction(-real, k)
                 if limit <= 0:
                     # delta must be positive, so a zero cap is already
                     # a symbolic violation.
@@ -515,8 +532,9 @@ def concrete_model(
 
     With no delta coefficient anywhere (every pure-integer round after
     tightening) the real parts are the model and no delta is needed.
+    The values are ``Fraction`` either way.
     """
     if not any(value.k for value in assignment.values()):
-        return {var: value.real for var, value in assignment.items()}
+        return {var: as_fraction(value.real) for var, value in assignment.items()}
     delta = concretize_delta(assignment, strict_exprs, nonstrict_exprs)
     return {var: value.real + value.k * delta for var, value in assignment.items()}

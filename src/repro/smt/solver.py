@@ -37,7 +37,7 @@ from .proof import (
 from .sat import SatSolver
 from .simplex import TheoryConflict
 from .stats import GLOBAL_COUNTERS
-from .terms import LinExpr, Var
+from .terms import LinExpr, Scalar, Var, exact_scalar
 from .theory import SolverBudgetError, check_conjunction
 
 SAT = "sat"
@@ -49,7 +49,7 @@ _strength = itemgetter(0, 1)
 
 
 def _weakest_incompatible(
-    other: list, side: str, bound: Fraction, strict: bool
+    other: list, side: str, bound: Scalar, strict: bool
 ) -> tuple | None:
     """Weakest entry of the opposite chain ``other`` that contradicts
     the new ``side`` bound, or None.
@@ -501,7 +501,9 @@ class Solver:
             if not isinstance(leaf, Atom) or len(leaf.expr.coeffs) != 1:
                 continue
             ((var, coeff),) = leaf.expr.coeffs.items()
-            bound = -leaf.expr.const / coeff
+            # Integral bounds as ints: the bisect key comparisons then
+            # run in C, not in Fraction's rich comparison.
+            bound = exact_scalar(-leaf.expr.const / coeff)
             chains = self._chains.setdefault(
                 var, {"upper": [], "lower": [], "eq": []}
             )
@@ -517,7 +519,7 @@ class Solver:
         self,
         chains: dict[str, list[Any]],
         side: str,
-        bound: Fraction,
+        bound: Scalar,
         strict: bool,
         sat_var: int,
     ) -> None:
@@ -542,7 +544,7 @@ class Solver:
             self._link_eq_to_bound(value, eq_var, side, bound, strict, sat_var)
 
     def _insert_eq(
-        self, chains: dict[str, list[Any]], value: Fraction, sat_var: int
+        self, chains: dict[str, list[Any]], value: Scalar, sat_var: int
     ) -> None:
         for other_value, other_var in chains["eq"]:
             if other_value != value:
@@ -555,10 +557,10 @@ class Solver:
 
     def _link_eq_to_bound(
         self,
-        value: Fraction,
+        value: Scalar,
         eq_var: int,
         side: str,
-        bound: Fraction,
+        bound: Scalar,
         strict: bool,
         bound_var: int,
     ) -> None:

@@ -123,7 +123,8 @@ class Var:
 _ZERO = Fraction(0)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def as_fraction(value: Scalar) -> Fraction:
+    """``value`` as a ``Fraction``, the type every API boundary hands out."""
     # Exact types first: isinstance(int, Fraction) goes through the
     # numbers ABCs' __instancecheck__.
     cls = type(value)
@@ -138,15 +139,15 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _key_scalar(value: Scalar) -> Scalar:
-    """``value`` as it goes into an intern-table key: integral values
-    as ``int``, which hashes and compares equal to the equal
-    ``Fraction`` but in C, not in ``Fraction.__hash__``."""
+def exact_scalar(value: Scalar) -> Scalar:
+    """``value`` with integral values as ``int``: it hashes, compares
+    and multiplies like the equal ``Fraction``, but in C.  Intern-table
+    keys and the simplex's hot-path scalars use this form."""
     if type(value) is int:
         return value
     if type(value) is Fraction:
         return value.numerator if value.denominator == 1 else value
-    return _as_fraction(value)
+    return as_fraction(value)
 
 
 class LinExpr:
@@ -182,19 +183,19 @@ class LinExpr:
         items: list[tuple[Var, Scalar]] = []
         if coeffs:
             for var, coeff in coeffs.items():
-                coeff = _key_scalar(coeff)
+                coeff = exact_scalar(coeff)
                 if coeff:
                     items.append((var, coeff))
-        key = (frozenset(items), _key_scalar(const))
+        key = (frozenset(items), exact_scalar(const))
         cached = cls._intern.get(key)
         if cached is not None:
             return cached
         clean: dict[Var, Fraction] = {
-            var: _as_fraction(coeff) for var, coeff in items
+            var: as_fraction(coeff) for var, coeff in items
         }
         self = super().__new__(cls)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "const", _as_fraction(key[1]))
+        object.__setattr__(self, "const", as_fraction(key[1]))
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_neg", None)
         cls._intern[key] = self
@@ -237,7 +238,7 @@ class LinExpr:
         """Evaluate under a total assignment of the expression's variables."""
         total = self.const
         for var, coeff in self.coeffs.items():
-            total += coeff * _as_fraction(assignment[var])
+            total += coeff * as_fraction(assignment[var])
         return total
 
     def substitute(self, var: Var, replacement: "LinExpr") -> "LinExpr":
@@ -293,7 +294,7 @@ class LinExpr:
     def __mul__(self, scalar: Scalar) -> "LinExpr":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        frac = _as_fraction(scalar)
+        frac = as_fraction(scalar)
         return LinExpr(
             {v: c * frac for v, c in self.coeffs.items()}, self.const * frac
         )
@@ -301,7 +302,7 @@ class LinExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "LinExpr":
-        frac = _as_fraction(scalar)
+        frac = as_fraction(scalar)
         if frac == 0:
             raise ZeroDivisionError("division of linear expression by zero")
         return self * (Fraction(1) / frac)
@@ -373,5 +374,5 @@ def linear_combination(terms: Iterable[tuple[Scalar, Var]], const: Scalar = 0) -
     """Build ``sum(c * v for c, v in terms) + const``."""
     coeffs: dict[Var, Fraction] = {}
     for coeff, var in terms:
-        coeffs[var] = coeffs.get(var, _ZERO) + _as_fraction(coeff)
+        coeffs[var] = coeffs.get(var, _ZERO) + as_fraction(coeff)
     return LinExpr(coeffs, const)
