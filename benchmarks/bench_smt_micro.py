@@ -167,12 +167,11 @@ def test_session_and_fresh_probes_agree():
 
 
 # ----------------------------------------------------------------------
-# Proof logging / core minimization
+# Proof logging
 # ----------------------------------------------------------------------
 def unsat_disjunctive_formula():
-    """UNSAT formula with redundant side constraints: without core
-    minimization, theory conflicts can drag the wide bounds into the
-    blocking clauses."""
+    """UNSAT formula with redundant side constraints, which theory
+    conflicts can drag into the blocking clauses."""
     branches = [
         conj([compare(ex, ">=", c(i * 10 + 6)), compare(ex, "<", c(i * 10 + 9))])
         for i in range(8)
@@ -187,14 +186,6 @@ def unsat_disjunctive_formula():
     )
 
 
-def blocking_clause_sizes(minimize: bool) -> list[int]:
-    solver = Solver(proof=True, minimize_cores=minimize)
-    solver.add(unsat_disjunctive_formula())
-    solver.check()
-    assert solver.proof_log is not None
-    return [len(s.lits) for s in solver.proof_log.theory_steps()]
-
-
 def run_unsat_with_proof_logging():
     solver = Solver(proof=True)
     solver.add(unsat_disjunctive_formula())
@@ -204,26 +195,6 @@ def run_unsat_with_proof_logging():
 def test_unsat_with_proof_logging(benchmark):
     """Overhead of proof logging on an UNSAT disjunctive formula."""
     benchmark(run_unsat_with_proof_logging)
-
-
-def run_unsat_with_core_minimization():
-    solver = Solver(proof=True, minimize_cores=True)
-    solver.add(unsat_disjunctive_formula())
-    return solver.check()
-
-
-def test_unsat_with_core_minimization(benchmark):
-    """Cost of deletion-based core minimization; reports the blocking-
-    clause size delta against the unminimized run."""
-    benchmark(run_unsat_with_core_minimization)
-
-    plain = blocking_clause_sizes(minimize=False)
-    minimized = blocking_clause_sizes(minimize=True)
-    if plain and minimized:
-        benchmark.extra_info["blocking_clause_lits_plain"] = sum(plain)
-        benchmark.extra_info["blocking_clause_lits_minimized"] = sum(minimized)
-        benchmark.extra_info["clause_size_delta"] = sum(plain) - sum(minimized)
-        assert sum(minimized) <= sum(plain)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +209,6 @@ MICRO_RUNNERS = {
     "session_scoped_probes": run_session_scoped_probes,
     "fresh_solver_probes": run_fresh_solver_probes,
     "unsat_with_proof_logging": run_unsat_with_proof_logging,
-    "unsat_with_core_minimization": run_unsat_with_core_minimization,
 }
 
 

@@ -1,25 +1,27 @@
-"""Resumable paper-scale experiment runner.
+"""Resumable efficacy runs: the per-cell checkpoint behind ``repro bench``.
 
 The full Table-2/3 experiment (200 queries × 7 subsets × 4 techniques)
-takes on the order of an hour in this pure-Python reproduction, so this
-runner checkpoints one JSON line per finished (query, subset,
-technique) cell and skips completed cells on restart:
+takes on the order of an hour in this pure-Python reproduction, so
+:func:`run` checkpoints one JSON line per finished (query, subset,
+technique) cell and skips completed cells on a rerun:
 
-    python -m repro.bench.fullscale --queries 200 --out results/full.jsonl
-    python -m repro.bench.fullscale --summarize results/full.jsonl
+    python -m repro bench --queries 200 --out results/full.jsonl
+    python -m repro report results/full.jsonl
 
-The summary prints Table 2 and Table 3 from whatever cells exist, so a
-partial run is already inspectable; ``repro report`` renders the same
-file as per-query profiles.  Each line is one
+``repro report`` prints :func:`summarize`'s Table 2 and Table 3 from
+whatever cells exist, so a partial run is already inspectable, and
+then the per-query profiles.  Each line is one
 :func:`~repro.bench.harness.record_to_json` record, the cell's solver
-counter delta included.  A run killed mid-write leaves a torn last
-line: :func:`load_checkpoint` skips it and :func:`run` cuts it off
-before appending, so the cell is recomputed.
+counter delta included, plus the workload ``seed``: a checkpoint holds
+the cells of one workload, and :func:`run` refuses to extend a file
+written under another seed (or by a version that recorded none).  A
+run killed mid-write leaves a torn last line: :func:`load_checkpoint`
+skips it and :func:`run` cuts it off before appending, so the cell is
+recomputed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -36,25 +38,38 @@ from .parallel import parallel_efficacy_records
 from .report import format_table
 
 
-def load_checkpoint(path: Path | str) -> list[EfficacyRecord]:
-    """Every cell in a checkpoint file, in file order.
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read or extended."""
+
+
+def _load_lines(path: Path | str) -> list[dict]:
+    """Every checkpoint line as parsed JSON, in file order.
 
     An unparseable *final* line is a write torn by a killed run and is
-    skipped; an unparseable line anywhere else raises ``ValueError``.
-    Lines written before ``partial`` or ``counters`` existed read with
-    their defaults.
+    skipped; an unparseable line anywhere else raises
+    :class:`CheckpointError`.
     """
     lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    records = []
+    payloads = []
     for number, line in enumerate(lines, start=1):
         try:
-            payload = json.loads(line)
+            payloads.append(json.loads(line))
         except ValueError as exc:
             if number == len(lines):
                 break
-            raise ValueError(f"{path}: line {number} is not JSON") from exc
-        records.append(record_from_json(payload))
-    return records
+            raise CheckpointError(f"{path}: line {number} is not JSON") from exc
+    return payloads
+
+
+def load_checkpoint(path: Path | str) -> list[EfficacyRecord]:
+    """Every cell in a checkpoint file, in file order (see
+    :func:`_load_lines` for torn lines).  Lines written before
+    ``seed``, ``partial`` or ``counters`` existed read with their
+    defaults."""
+    return [
+        record_from_json({k: v for k, v in payload.items() if k != "seed"})
+        for payload in _load_lines(path)
+    ]
 
 
 def _drop_torn_tail(path: Path) -> None:
@@ -83,15 +98,30 @@ def run(
     a pool -- so a killed run keeps everything it finished.
     ``deadline_ms`` bounds each SIA cell's synthesis wall-clock;
     expired cells are checkpointed as partial results (``partial:
-    true``, truncated timings).  The driver's run statistics land in
-    ``stats`` (when given).
+    true``, truncated timings).  The driver's run statistics and
+    solver counters land in ``stats`` (when given).
+
+    Raises :class:`CheckpointError` when ``out_path`` holds a line of another
+    workload seed, or one without a seed: its cells belong to a
+    different workload and must not be skipped as done.
     """
     done: set[tuple] = set()
     if out_path.exists():
         _drop_torn_tail(out_path)
+        payloads = _load_lines(out_path)
+        foreign = {payload.get("seed") for payload in payloads} - {seed}
+        if foreign:
+            names = ", ".join(
+                "none recorded" if other is None else str(other)
+                for other in sorted(foreign, key=str)
+            )
+            raise CheckpointError(
+                f"{out_path}: checkpoint holds cells of workload seed "
+                f"{names}, not {seed}; use a fresh checkpoint file"
+            )
         done = {
-            (r.query_index, r.subset, r.technique)
-            for r in load_checkpoint(out_path)
+            (p["query_index"], tuple(p["subset"]), p["technique"])
+            for p in payloads
         }
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -100,7 +130,8 @@ def run(
 
         def checkpoint(record: EfficacyRecord) -> None:
             nonlocal new_cells
-            handle.write(json.dumps(record_to_json(record)) + "\n")
+            line = {"seed": seed, **record_to_json(record)}
+            handle.write(json.dumps(line) + "\n")
             handle.flush()
             new_cells += 1
             cell_ms = record.generation_ms + record.learning_ms + record.validation_ms
@@ -126,9 +157,8 @@ def run(
     return new_cells
 
 
-def summarize(path: Path) -> str:
+def summarize(records: list[EfficacyRecord]) -> str:
     """Render Table 2/3 from whatever checkpoint cells exist."""
-    records = load_checkpoint(path)
     headers2 = ["cols", "possible"]
     for technique in TECHNIQUES:
         headers2 += [f"{technique} valid", f"{technique} optimal"]
@@ -147,38 +177,3 @@ def summarize(path: Path) -> str:
             "their timings are excluded from Table 3."
         )
     return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (see module docstring for usage)."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--queries", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", type=Path, default=Path("results/fullscale.jsonl"))
-    parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="worker processes (1 = in-process)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="B",
-        help="per-cell synthesis budget; expired cells checkpoint partials",
-    )
-    parser.add_argument(
-        "--summarize", type=Path, default=None, metavar="JSONL",
-        help="print Table 2/3 from an existing checkpoint file and exit",
-    )
-    args = parser.parse_args(argv)
-    if args.summarize is not None:
-        print(summarize(args.summarize))
-        return 0
-    new_cells = run(
-        args.queries, args.seed, args.out,
-        workers=args.parallel, deadline_ms=args.deadline_ms,
-    )
-    print(f"computed {new_cells} new cells -> {args.out}", file=sys.stderr)
-    print(summarize(args.out))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -5,8 +5,8 @@ Usage::
     python -m repro rewrite "SELECT * FROM lineitem, orders WHERE ..." \
         --table lineitem [--iterations 41] [--strategy per_column] [--explain]
     python -m repro demo
-    python -m repro bench --parallel 4 [--queries 8] [--seed 42]
-    python -m repro bench --fullscale --parallel 4 [--deadline-ms 5000]
+    python -m repro bench --parallel 4 [--queries 8] [--seed 42] \
+        [--deadline-ms 5000] [--out results/fullscale.jsonl]
     python -m repro bench --compare old_BENCH.json
     python -m repro report results/fullscale.jsonl [--json]
 
@@ -88,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the efficacy workload and record solver perf "
-        "(writes BENCH_smt_micro.json)",
+        help="run the efficacy workload resumably into a per-cell "
+        "checkpoint and record solver perf (writes BENCH_smt_micro.json)",
     )
     bench.add_argument(
         "--parallel",
@@ -102,15 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queries",
         type=int,
         default=None,
-        help="workload size (default: REPRO_BENCH_QUERIES or 8; "
-        "200 under --fullscale)",
-    )
-    bench.add_argument(
-        "--fullscale",
-        action="store_true",
-        help="route through the resumable checkpoint runner "
-        "(bench/fullscale): cells append to --out across restarts and "
-        "the perf entry is written as 'parallel/fullscale'",
+        help="workload size (default: REPRO_BENCH_QUERIES or 8)",
     )
     bench.add_argument(
         "--deadline-ms",
@@ -123,10 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out",
-        dest="fullscale_out",
-        default=None,
+        dest="out_path",
+        default="results/fullscale.jsonl",
         metavar="JSONL",
-        help="checkpoint file for --fullscale "
+        help="per-cell checkpoint: cells already in it are skipped and "
+        "new cells are appended as they finish, so a rerun resumes "
         "(default: results/fullscale.jsonl)",
     )
     bench.add_argument(
@@ -191,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="per-query profiles from a fullscale checkpoint (a live "
-        "run's checkpoint shows its progress so far)",
+        help="Table 2/3 and per-query profiles from a bench checkpoint "
+        "(a live run's checkpoint shows its progress so far)",
     )
     report.add_argument(
         "path",
@@ -324,17 +317,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _print_pool_stats(pool: dict) -> None:
-    """One-line scheduler summary."""
-    if not pool:
-        return
-    print(
-        f"pool: {pool.get('workers', 1)} worker(s) at "
-        f"{pool.get('utilization', 0.0):.0%} utilization, "
-        f"restarts={pool.get('restarts', 0)}"
-    )
-
-
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     """``repro bench --compare OLD.json``: the perf-regression gate."""
     from .bench.compare import (
@@ -377,90 +359,24 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
-    """``repro bench --fullscale``: checkpointed paper-scale run.
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``repro bench``: the efficacy workload through the resumable
+    checkpoint (:func:`repro.bench.fullscale.run`).
 
     Every finished (query, subset, technique) cell appends one JSON
-    line to the checkpoint, so an interrupted run resumes where it
-    stopped; ``--parallel N`` runs pending queries on a longest-first
-    process pool.  The perf entry lands as ``parallel/fullscale`` with
-    the run statistics attached.
+    line to ``--out``, so an interrupted run resumes where it stopped;
+    ``--parallel N`` runs pending queries on a longest-first process
+    pool.  The perf entry ``workload/efficacy`` summarizes every cell in
+    the checkpoint and carries this run's solver counters and pool
+    statistics.
     """
+    from contextlib import nullcontext
     from pathlib import Path
 
-    from .bench.fullscale import load_checkpoint, run as fullscale_run
-    from .bench.perflog import DEFAULT_PATH, summarize_times, update_bench_json
-    from .obs import now
-
-    num_queries = args.queries if args.queries is not None else 200
-    seed = args.seed if args.seed is not None else 42
-    out = Path(args.fullscale_out or "results/fullscale.jsonl")
-    stats: dict = {}
-    start = now()
-    new_cells = fullscale_run(
-        num_queries,
-        seed,
-        out,
-        workers=workers,
-        deadline_ms=args.deadline_ms,
-        stats=stats,
-    )
-    wall_clock_ms = (now() - start) * 1000.0
-
-    records = load_checkpoint(out)
-    cells = len(records)
-    valid = sum(r.valid for r in records)
-    optimal = sum(r.optimal for r in records)
-    partial = sum(r.partial for r in records)
-    # Partial (deadline-expired) cells have truncated timings; keep
-    # them out of the perf trajectory.
-    times = [
-        r.generation_ms + r.learning_ms + r.validation_ms
-        for r in records
-        if not r.partial
-    ]
-    print(
-        f"fullscale: {new_cells} new cells ({cells} total, {valid} valid, "
-        f"{optimal} optimal, {partial} partial) in "
-        f"{wall_clock_ms / 1000.0:.1f} s on {workers} worker(s) -> {out}"
-    )
-    pool = {
-        key: stats[key]
-        for key in (
-            "workers", "restarts", "busy_ms", "utilization", "wall_ms",
-            "deadline_ms",
-        )
-        if key in stats
-    }
-    _print_pool_stats(pool)
-    if args.json_path != "-" and times:
-        entry = summarize_times(times)
-        entry.update(
-            {
-                "workers": workers,
-                "records": cells,
-                "new_cells": new_cells,
-                "valid": valid,
-                "optimal": optimal,
-                "partial": partial,
-                "wall_clock_ms": round(wall_clock_ms, 1),
-            }
-        )
-        if pool:
-            entry["pool"] = pool
-        if "counters" in stats:
-            entry["counters"] = stats["counters"]
-        path = update_bench_json(
-            {"parallel/fullscale": entry}, args.json_path or DEFAULT_PATH
-        )
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
-    from .bench.parallel import default_workers, parallel_efficacy_records
+    from .bench.fullscale import CheckpointError, load_checkpoint
+    from .bench.fullscale import run as fullscale_run
+    from .bench.harness import bench_queries, bench_seed
+    from .bench.parallel import default_workers
     from .bench.perflog import (
         DEFAULT_PATH,
         stamp_trace_id,
@@ -472,8 +388,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compare_path is not None:
         return _cmd_bench_compare(args)
     workers = default_workers() if args.parallel == 0 else args.parallel
-    if args.fullscale:
-        return _cmd_bench_fullscale(args, workers)
+    num_queries = args.queries if args.queries is not None else bench_queries()
+    seed = args.seed if args.seed is not None else bench_seed()
+    out = Path(args.out_path)
+    stats: dict = {}
     tracing = (
         install_file_tracer(args.trace_path)
         if args.trace_path
@@ -482,28 +400,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with tracing as tracer:
         trace_id = tracer.trace_id if tracer is not None else None
         start = now()
-        with (
-            tracer.span("bench.workload", workers=workers, counters=True)
-            if tracer is not None
-            else nullcontext()
-        ):
-            result = parallel_efficacy_records(
-                num_queries=args.queries,
-                seed=args.seed,
-                workers=workers,
-                deadline_ms=args.deadline_ms,
-            )
+        try:
+            with (
+                tracer.span("bench.workload", workers=workers, counters=True)
+                if tracer is not None
+                else nullcontext()
+            ):
+                new_cells = fullscale_run(
+                    num_queries,
+                    seed,
+                    out,
+                    workers=workers,
+                    deadline_ms=args.deadline_ms,
+                    stats=stats,
+                )
+        except CheckpointError as exc:
+            print(f"bench: error: {exc}", file=sys.stderr)
+            return 2
         wall_clock_ms = (now() - start) * 1000.0
-    records = result.records
-    valid = sum(1 for r in records if r.valid)
-    optimal = sum(1 for r in records if r.optimal)
-    partial = sum(1 for r in records if r.partial)
+
+    records = load_checkpoint(out)
+    valid = sum(r.valid for r in records)
+    optimal = sum(r.optimal for r in records)
+    partial = sum(r.partial for r in records)
     print(
-        f"{len(records)} cells ({valid} valid, {optimal} optimal, "
-        f"{partial} partial) in "
-        f"{wall_clock_ms / 1000.0:.1f} s on {result.workers} worker(s)"
+        f"{new_cells} new cells ({len(records)} total, {valid} valid, "
+        f"{optimal} optimal, {partial} partial) in "
+        f"{wall_clock_ms / 1000.0:.1f} s on {workers} worker(s) -> {out}"
     )
-    counters = result.counters
+    counters = stats["counters"]
     print(
         "solver counters: "
         f"{counters.get('solvers_constructed', 0)} constructed, "
@@ -512,10 +437,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{counters.get('sessions_created', 0)} sessions), "
         f"{counters.get('clauses_learned', 0)} clauses learned"
     )
-    _print_pool_stats(result.pool)
+    pool = {key: value for key, value in stats.items() if key != "counters"}
+    print(
+        f"pool: {pool['workers']} worker(s) at "
+        f"{pool['utilization']:.0%} utilization, restarts={pool['restarts']}"
+    )
     if args.trace_path:
         print(f"trace {trace_id} written to {args.trace_path}")
     if args.json_path != "-" and records:
+        # Partial (deadline-expired) cells have truncated timings; keep
+        # them out of the perf trajectory.
         entry = summarize_times(
             [
                 r.generation_ms + r.learning_ms + r.validation_ms
@@ -527,18 +458,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         entry.update(
             {
                 "counters": counters,
-                "workers": result.workers,
+                "workers": workers,
                 "records": len(records),
+                "new_cells": new_cells,
                 "valid": valid,
                 "optimal": optimal,
                 "partial": partial,
                 "wall_clock_ms": round(wall_clock_ms, 1),
+                "pool": pool,
             }
         )
-        if result.metrics:
-            entry["metrics"] = result.metrics
-        if result.pool:
-            entry["pool"] = result.pool
         entries = {"workload/efficacy": entry}
         stamp_trace_id(entries, trace_id)
         path = update_bench_json(entries, args.json_path or DEFAULT_PATH)
@@ -574,7 +503,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .bench.fullscale import load_checkpoint
+    from .bench.fullscale import load_checkpoint, summarize
     from .bench.report import per_query_profiles, render_report
 
     try:
@@ -593,6 +522,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         )
         return 0
+    if records:
+        print(summarize(records))
+        print()
     print(render_report(records))
     return 0
 

@@ -6,7 +6,7 @@ A zero-dependency substrate the whole stack reports through:
   duration in the repo is measured on (lint rule SIA010 pins this);
 * :mod:`repro.obs.trace` -- context-manager span tracing to JSONL,
   off by default, with per-span attributes and counter deltas;
-* :mod:`repro.obs.metrics` -- named counters/timers/histograms with
+* :mod:`repro.obs.metrics` -- named counters and timers with
   worker-mergeable deltas, generalizing the solver's
   :data:`~repro.smt.stats.GLOBAL_COUNTERS`;
 * :mod:`repro.obs.replay` -- the ``repro trace`` replay: per-phase
@@ -34,7 +34,6 @@ from .clock import Clock, ManualClock, get_clock, now, set_clock
 from .metrics import (
     GLOBAL_METRICS,
     Counter,
-    Histogram,
     MetricsRegistry,
     Timer,
     merge_delta,
@@ -53,7 +52,6 @@ __all__ = [
     "Clock",
     "Counter",
     "GLOBAL_METRICS",
-    "Histogram",
     "ManualClock",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -83,7 +81,7 @@ def install_file_tracer(
 
     Wires the solver counters (:data:`repro.smt.stats.GLOBAL_COUNTERS`)
     in as the tracer's counter source, so ``span(..., counters=True)``
-    records solver-effort deltas (checks, conflicts, restarts, simplex
+    records solver-effort deltas (checks, learned clauses, simplex
     pivots) as span attributes.  On exit the previous tracer (normally
     the null tracer) is restored and the file is closed.
     """

@@ -5,7 +5,7 @@ module (lint rule SIA010 rejects direct ``time.time()`` /
 ``time.perf_counter()`` calls outside ``obs/``), for two reasons:
 
 * **Deterministic traces in tests.**  Swapping in a
-  :class:`ManualClock` makes span durations, timer histograms and
+  :class:`ManualClock` makes span durations, timer values and
   ``Timings`` breakdowns exact, so tests can assert on attribution
   tables instead of sleeping and hoping.
 * **One overhead budget.**  The tracer, the metrics registry and the

@@ -1,22 +1,21 @@
-"""Metrics registry: counters, timers and histograms with percentiles.
+"""Metrics registry: counters and timers with percentiles.
 
 :data:`repro.smt.stats.GLOBAL_COUNTERS` answers "how many" for a fixed
 set of solver events; this registry generalizes it to *named* metrics
 created on demand, with distributions:
 
 * :class:`Counter` -- a monotone integer;
-* :class:`Histogram` -- recorded values with deterministic
+* :class:`Timer` -- recorded millisecond durations with deterministic
   p50/p95/max summaries (value retention is capped; count and sum stay
-  exact past the cap);
-* :class:`Timer` -- a histogram of millisecond durations with a
-  context-manager ``time()`` reading the injectable clock.
+  exact past the cap) and a context-manager ``time()`` reading the
+  injectable clock.
 
 The registry is **delta-oriented** so the parallel workload driver can
 aggregate across worker processes exactly like the solver counters:
 ``snapshot()`` in the worker before the batch, ``delta_since()``
 after, ship the (pure-JSON) delta to the parent, and
 :func:`merge_delta` folds worker deltas into one aggregate **in batch
-order** -- the merged histogram value streams are deterministic given
+order** -- the merged timer value streams are deterministic given
 a deterministic schedule, and the parent process's own registry is
 never mixed in (no double-counting).
 
@@ -35,14 +34,13 @@ from .clock import now
 __all__ = [
     "Counter",
     "GLOBAL_METRICS",
-    "Histogram",
     "MetricsRegistry",
     "Timer",
     "merge_delta",
     "summarize_values",
 ]
 
-#: Retained values per histogram.  Past the cap new values stop being
+#: Retained values per timer.  Past the cap new values stop being
 #: retained (count/total stay exact); the cap exists so a million-check
 #: workload cannot hold a million floats per timer.  Deterministic: the
 #: *first* ``_VALUE_CAP`` recordings are retained, no sampling.
@@ -68,8 +66,9 @@ class Counter:
         self.value += amount
 
 
-class Histogram:
-    """Recorded values with percentile summaries (see module doc)."""
+class Timer:
+    """Recorded millisecond durations with percentile summaries (see
+    module doc) and a timing helper."""
 
     __slots__ = ("count", "total", "max", "values")
 
@@ -93,12 +92,6 @@ class Histogram:
             "total": round(self.total, 4),
             **summarize_values(self.values, self.max),
         }
-
-
-class Timer(Histogram):
-    """A histogram of millisecond durations with a timing helper."""
-
-    __slots__ = ()
 
     @contextmanager
     def time(self) -> Iterator[None]:
@@ -129,14 +122,13 @@ def summarize_values(
 
 
 class MetricsRegistry:
-    """Named counters/timers/histograms, created on first use."""
+    """Named counters and timers, created on first use."""
 
-    __slots__ = ("_counters", "_timers", "_histograms")
+    __slots__ = ("_counters", "_timers")
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     # -- access --------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -157,15 +149,6 @@ class MetricsRegistry:
                     metric = self._timers[name] = Timer()
         return metric
 
-    def histogram(self, name: str) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            with _REGISTRY_LOCK:
-                metric = self._histograms.get(name)
-                if metric is None:
-                    metric = self._histograms[name] = Histogram()
-        return metric
-
     # -- snapshots / deltas -------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """Positions of every metric, for a later :meth:`delta_since`."""
@@ -174,10 +157,6 @@ class MetricsRegistry:
             "timers": {
                 k: (t.count, len(t.values), t.total)
                 for k, t in self._timers.items()
-            },
-            "histograms": {
-                k: (h.count, len(h.values), h.total)
-                for k, h in self._histograms.items()
             },
         }
 
@@ -189,26 +168,20 @@ class MetricsRegistry:
             delta = metric.value - snapshot.get("counters", {}).get(name, 0)
             if delta:
                 counters[name] = delta
-        out: dict[str, Any] = {"counters": counters}
-        for kind, table in (
-            ("timers", self._timers),
-            ("histograms", self._histograms),
-        ):
-            deltas = {}
-            base = snapshot.get(kind, {})
-            for name, metric in table.items():
-                count0, retained0, total0 = base.get(name, (0, 0, 0.0))
-                added = metric.count - count0
-                if not added:
-                    continue
-                deltas[name] = {
-                    "count": added,
-                    "total": round(metric.total - total0, 4),
-                    "values": [round(v, 4) for v in metric.values[retained0:]],
-                    "max": round(metric.max, 4),
-                }
-            out[kind] = deltas
-        return out
+        timers = {}
+        base = snapshot.get("timers", {})
+        for name, metric in self._timers.items():
+            count0, retained0, total0 = base.get(name, (0, 0, 0.0))
+            added = metric.count - count0
+            if not added:
+                continue
+            timers[name] = {
+                "count": added,
+                "total": round(metric.total - total0, 4),
+                "values": [round(v, 4) for v in metric.values[retained0:]],
+                "max": round(metric.max, 4),
+            }
+        return {"counters": counters, "timers": timers}
 
     def summary(self) -> dict[str, Any]:
         """Human/JSON-facing rollup of every metric's current state."""
@@ -217,23 +190,19 @@ class MetricsRegistry:
             "timers": {
                 k: t.summary() for k, t in sorted(self._timers.items())
             },
-            "histograms": {
-                k: h.summary() for k, h in sorted(self._histograms.items())
-            },
         }
 
     def reset(self) -> None:
         self._counters.clear()
         self._timers.clear()
-        self._histograms.clear()
 
 
 def merge_delta(total: dict[str, Any], delta: dict[str, Any]) -> dict[str, Any]:
     """Fold one worker delta into the ``total`` aggregate, in call order.
 
     ``total`` uses the same shape as :meth:`MetricsRegistry.delta_since`
-    output; start from ``{}``.  Counter increments add; timer/histogram
-    deltas add counts/sums and **append** value lists in merge order, so
+    output; start from ``{}``.  Counter increments add; timer deltas
+    add counts/sums and **append** value lists in merge order, so
     the caller's ordering discipline (ascending batch index) makes the
     aggregate deterministic.  Deltas must come from non-overlapping windows
     (per-batch snapshots), or events would be double-counted.
@@ -241,15 +210,14 @@ def merge_delta(total: dict[str, Any], delta: dict[str, Any]) -> dict[str, Any]:
     for name, value in delta.get("counters", {}).items():
         bucket = total.setdefault("counters", {})
         bucket[name] = bucket.get(name, 0) + value
-    for kind in ("timers", "histograms"):
-        for name, entry in delta.get(kind, {}).items():
-            bucket = total.setdefault(kind, {}).setdefault(
-                name, {"count": 0, "total": 0.0, "values": [], "max": 0.0}
-            )
-            bucket["count"] += entry.get("count", 0)
-            bucket["total"] = round(bucket["total"] + entry.get("total", 0.0), 4)
-            bucket["values"].extend(entry.get("values", []))
-            bucket["max"] = max(bucket["max"], entry.get("max", 0.0))
+    for name, entry in delta.get("timers", {}).items():
+        bucket = total.setdefault("timers", {}).setdefault(
+            name, {"count": 0, "total": 0.0, "values": [], "max": 0.0}
+        )
+        bucket["count"] += entry.get("count", 0)
+        bucket["total"] = round(bucket["total"] + entry.get("total", 0.0), 4)
+        bucket["values"].extend(entry.get("values", []))
+        bucket["max"] = max(bucket["max"], entry.get("max", 0.0))
     return total
 
 

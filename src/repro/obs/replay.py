@@ -61,12 +61,11 @@ class SpanNode:
 
 @dataclass
 class TraceReplay:
-    """A parsed trace: span forest plus the loose events."""
+    """A parsed trace: the span forest."""
 
     trace_id: str = ""
     spans: dict[int, SpanNode] = field(default_factory=dict)
     roots: list[SpanNode] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
     malformed_lines: int = 0
 
     @property
@@ -173,7 +172,9 @@ def load_trace(path: Path | str) -> TraceReplay:
                     continue
                 replay.spans[node.span_id] = node
             elif kind == "event":
-                replay.events.append(record)
+                # Point events (SAT restarts) are no longer emitted;
+                # older traces that hold them still load.
+                continue
             else:
                 replay.malformed_lines += 1
     # Spans are emitted at close, children before parents; link the
@@ -304,7 +305,6 @@ def replay_to_json(replay: TraceReplay) -> dict:
         "trace_id": replay.trace_id,
         "wall_ms": round(replay.wall_ms, 4),
         "spans": len(replay.spans),
-        "events": len(replay.events),
         "malformed_lines": replay.malformed_lines,
         "phases": {row.pop("phase"): row for row in attribution_rows(replay)},
     }

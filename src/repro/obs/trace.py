@@ -10,8 +10,6 @@ invisible to monotone counters; this tracer records it as a tree of
 * ``Tracer.span`` is a context manager, so nesting follows the call
   structure: the span opened innermost becomes the parent of any span
   opened inside it;
-* point-in-time **events** (e.g. a SAT restart) attach to the span
-  open at emission time;
 * every completed span is one JSON line in the sink, so traces stream,
   append, and survive crashes up to the last finished span.
 
@@ -33,8 +31,9 @@ Wire format (one object per line)::
     {"type": "span", "trace_id": ..., "id": 3, "parent": 2,
      "name": "cegis.learn", "t0": 12.5, "t1": 14.1,
      "attrs": {"phase": "learn"}}
-    {"type": "event", "trace_id": ..., "span": 3,
-     "name": "sat.restart", "t": 13.0, "attrs": {...}}
+
+Older traces may also hold ``"type": "event"`` lines (point events,
+once emitted on SAT restarts); the replayer skips them.
 """
 
 from __future__ import annotations
@@ -85,9 +84,6 @@ class NullTracer:
 
     def span(self, name: str, *, counters: bool = False, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
-
-    def event(self, name: str, **attrs: Any) -> None:
-        return None
 
     def close(self) -> None:
         return None
@@ -208,19 +204,6 @@ class Tracer:
         if counters and self._counter_source is not None:
             span._counter_base = self._counter_source()
         return span
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record a point-in-time event under the currently open span."""
-        record: dict[str, Any] = {
-            "type": "event",
-            "trace_id": self.trace_id,
-            "span": self._stack[-1].span_id if self._stack else None,
-            "name": name,
-            "t": round(self._now_ms(), 4),
-        }
-        if attrs:
-            record["attrs"] = attrs
-        self._write(record)
 
     def close(self) -> None:
         """Flush the sink; the tracer emits nothing afterwards."""

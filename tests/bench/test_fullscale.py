@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench import parallel
-from repro.bench.fullscale import load_checkpoint, main, run, summarize
+from repro.bench.fullscale import load_checkpoint, run, summarize
 from repro.bench.harness import EfficacyRecord, record_from_json, record_to_json
 from repro.cli import main as cli_main
 
@@ -14,7 +14,7 @@ def test_run_and_summarize(tmp_path, capsys):
     out = tmp_path / "cells.jsonl"
     new_cells = run(queries=1, seed=5, out_path=out, techniques=("TC",))
     assert new_cells == 7  # one query x seven subsets
-    text = summarize(out)
+    text = summarize(load_checkpoint(out))
     assert "Table 2" in text and "Table 3" in text
 
 
@@ -72,12 +72,84 @@ def test_parallel_run_extends_same_checkpoint(tmp_path):
     ) == 0
 
 
-def test_main_summarize_mode(tmp_path, capsys):
+def test_report_prints_tables_before_profiles(tmp_path, capsys):
     out = tmp_path / "cells.jsonl"
     run(queries=1, seed=5, out_path=out, techniques=("TC",))
-    code = main(["--summarize", str(out)])
-    assert code == 0
-    assert "Table 2" in capsys.readouterr().out
+    capsys.readouterr()
+    assert cli_main(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.index("Table 2") < text.index("Table 3") < text.index("7 cells over 1 queries")
+
+
+def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
+    """Cells are keyed by (query, subset, technique) within one
+    workload; a checkpoint of seed 5 must not be resumed as seed 7,
+    whose query 0 is a different query."""
+    out = tmp_path / "cells.jsonl"
+    run(queries=1, seed=5, out_path=out, techniques=("TC",))
+    before = out.read_text()
+    assert {json.loads(line)["seed"] for line in before.splitlines()} == {5}
+    with pytest.raises(ValueError, match=r"cells\.jsonl.*seed 5, not 7"):
+        run(queries=1, seed=7, out_path=out, techniques=("TC",))
+    assert out.read_text() == before
+
+
+def test_resume_refuses_a_checkpoint_without_seeds(tmp_path):
+    """Lines written before the seed was recorded still load, but a run
+    cannot tell which workload they came from, so it does not extend
+    them."""
+    out = tmp_path / "cells.jsonl"
+    run(queries=1, seed=5, out_path=out, techniques=("TC",))
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    for payload in lines:
+        del payload["seed"]
+    out.write_text("".join(json.dumps(p) + "\n" for p in lines))
+    assert len(load_checkpoint(out)) == 7
+    with pytest.raises(ValueError, match="none recorded"):
+        run(queries=1, seed=5, out_path=out, techniques=("TC",))
+
+
+def _bench(out, bench_json, *extra):
+    return cli_main([
+        "bench", "--queries", "1", "--parallel", "1", "--seed", "42",
+        "--deadline-ms", "1", "--out", str(out), "--json", str(bench_json),
+        *extra,
+    ])
+
+
+def test_bench_cli_writes_checkpoint_and_resumes(tmp_path, capsys):
+    out = tmp_path / "cells.jsonl"
+    bench_json = tmp_path / "BENCH.json"
+    assert _bench(out, bench_json) == 0
+    assert len(load_checkpoint(out)) == 28  # 7 subsets x 4 techniques
+    first = json.loads(bench_json.read_text())["benchmarks"]
+    assert set(first) == {"workload/efficacy"}
+    entry = first["workload/efficacy"]
+    assert entry["new_cells"] == 28 and entry["records"] == 28
+    assert entry["counters"]["checks"] > 0
+    assert "28 new cells" in capsys.readouterr().out
+
+    assert _bench(out, bench_json) == 0
+    assert "0 new cells (28 total" in capsys.readouterr().out
+    entry = json.loads(bench_json.read_text())["benchmarks"]["workload/efficacy"]
+    assert entry["new_cells"] == 0 and entry["records"] == 28
+    assert len(load_checkpoint(out)) == 28
+
+
+def test_bench_cli_rejects_a_checkpoint_of_another_seed(tmp_path, capsys):
+    out = tmp_path / "cells.jsonl"
+    run(queries=1, seed=7, out_path=out, techniques=("TC",))
+    capsys.readouterr()
+    assert _bench(out, tmp_path / "BENCH.json") == 2
+    assert str(out) in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_bench_cli_has_no_fullscale_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _bench(tmp_path / "cells.jsonl", tmp_path / "BENCH.json", "--fullscale")
+    assert exit_info.value.code == 2
+    assert "--fullscale" in capsys.readouterr().err
 
 
 def _stub_sia(calls, fail_on=None):
@@ -135,7 +207,7 @@ def test_resume_recomputes_a_torn_last_line(tmp_path):
     assert len(cells) == 7
     keys = {(c["query_index"], tuple(c["subset"]), c["technique"]) for c in cells}
     assert (torn["query_index"], tuple(torn["subset"]), torn["technique"]) in keys
-    assert "Table 2 (7 cells)" in summarize(out)
+    assert "Table 2 (7 cells)" in summarize(load_checkpoint(out))
 
 
 def test_deadline_partials_reach_the_checkpoint(tmp_path):

@@ -35,8 +35,11 @@ PARITY = dict(num_queries=1, seed=4, techniques=("SIA", "TC"))
 
 
 def _cell(payload):
-    """A checkpoint cell minus its wall-clock fields."""
-    return {k: v for k, v in payload.items() if not k.endswith("_ms")}
+    """A checkpoint cell minus its wall-clock fields and the workload
+    seed the checkpoint adds."""
+    return {
+        k: v for k, v in payload.items() if not k.endswith("_ms") and k != "seed"
+    }
 
 
 def _cells(records):
@@ -94,16 +97,12 @@ def test_counters_are_aggregated(sequential):
 
 def _structural(metrics):
     """Metric shape without wall-clock content: counter values and
-    timer/histogram counts are deterministic; durations are not."""
+    timer counts are deterministic; durations are not."""
     return {
         "counters": metrics.get("counters", {}),
         "timers": {
             name: (entry["count"], len(entry["values"]))
             for name, entry in metrics.get("timers", {}).items()
-        },
-        "histograms": {
-            name: (entry["count"], len(entry["values"]))
-            for name, entry in metrics.get("histograms", {}).items()
         },
     }
 
@@ -130,7 +129,6 @@ def test_parent_metrics_registry_is_isolated_from_workers():
     delta = GLOBAL_METRICS.delta_since(before)
     assert delta.get("counters", {}) == {}
     assert delta.get("timers", {}) == {}
-    assert delta.get("histograms", {}) == {}
 
 
 def test_pool_stats_shape(sequential):

@@ -36,7 +36,7 @@ def _worker(index: int, conn) -> None:
     GLOBAL_COUNTERS.checks += index + 1
     GLOBAL_COUNTERS.pivots += 10
     GLOBAL_METRICS.counter("roundtrip.jobs").inc(index + 1)
-    GLOBAL_METRICS.histogram("roundtrip.size").record(float(index))
+    GLOBAL_METRICS.timer("roundtrip.size").record(float(index))
 
     conn.send(
         (
@@ -84,10 +84,10 @@ def test_delta_roundtrip(method):
     assert counter_total.get("solvers_constructed", 0) == 0
     assert metric_total["counters"]["roundtrip.jobs"] == 6
 
-    hist = metric_total["histograms"]["roundtrip.size"]
-    assert hist["count"] == 3
-    assert sorted(hist["values"]) == [0.0, 1.0, 2.0]
-    assert hist["max"] == 2.0
+    timer = metric_total["timers"]["roundtrip.size"]
+    assert timer["count"] == 3
+    assert sorted(timer["values"]) == [0.0, 1.0, 2.0]
+    assert timer["max"] == 2.0
 
 
 @pytest.mark.parametrize("method", START_METHODS)

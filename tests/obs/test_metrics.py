@@ -17,11 +17,12 @@ def test_counter_is_monotone():
 
 
 def test_histogram_summary_percentiles():
+    """A timer summarizes its retained values by nearest rank."""
     registry = MetricsRegistry()
-    histogram = registry.histogram("h")
+    timer = registry.timer("t")
     for value in range(1, 101):  # 1..100
-        histogram.record(float(value))
-    summary = histogram.summary()
+        timer.record(float(value))
+    summary = timer.summary()
     assert summary["count"] == 100
     assert summary["total"] == 5050.0
     assert summary["p50"] == 50.0
@@ -31,12 +32,12 @@ def test_histogram_summary_percentiles():
 
 def test_retention_cap_keeps_count_and_total_exact():
     registry = MetricsRegistry()
-    histogram = registry.histogram("h")
+    timer = registry.timer("t")
     for _ in range(_VALUE_CAP + 10):
-        histogram.record(1.0)
-    assert len(histogram.values) == _VALUE_CAP
-    assert histogram.count == _VALUE_CAP + 10
-    assert histogram.total == float(_VALUE_CAP + 10)
+        timer.record(1.0)
+    assert len(timer.values) == _VALUE_CAP
+    assert timer.count == _VALUE_CAP + 10
+    assert timer.total == float(_VALUE_CAP + 10)
 
 
 def test_timer_reads_the_injectable_clock():
@@ -77,7 +78,7 @@ def test_delta_is_pure_json():
 
     registry = MetricsRegistry()
     registry.counter("a").inc()
-    registry.histogram("h").record(1.5)
+    registry.timer("t").record(1.5)
     delta = registry.delta_since({})
     assert json.loads(json.dumps(delta)) == delta
 
@@ -86,12 +87,10 @@ def test_merge_delta_is_order_dependent_and_additive():
     worker1 = {
         "counters": {"a": 1},
         "timers": {"t": {"count": 1, "total": 10.0, "values": [10.0], "max": 10.0}},
-        "histograms": {},
     }
     worker2 = {
         "counters": {"a": 2, "b": 5},
         "timers": {"t": {"count": 2, "total": 7.0, "values": [3.0, 4.0], "max": 4.0}},
-        "histograms": {},
     }
     total: dict = {}
     merge_delta(total, worker1)
@@ -114,9 +113,6 @@ def test_reset_clears_every_table():
     registry = MetricsRegistry()
     registry.counter("a").inc()
     registry.timer("t").record(1.0)
-    registry.histogram("h").record(2.0)
     registry.reset()
-    assert registry.summary() == {
-        "counters": {}, "timers": {}, "histograms": {},
-    }
+    assert registry.summary() == {"counters": {}, "timers": {}}
 

@@ -99,6 +99,20 @@ def test_orphans_survive_torn_traces(tmp_path):
     assert replay.phase_totals()["learn"]["total_ms"] == 60.0
 
 
+def test_legacy_event_lines_are_skipped(tmp_path):
+    path = _write_trace(tmp_path, _cegis_like)
+    # Older traces carry point events (SAT restarts) between spans.
+    event = {"type": "event", "trace_id": "fixed", "span": 3,
+             "name": "sat.restart", "t": 13.0, "attrs": {"conflicts": 12}}
+    lines = path.read_text().splitlines()
+    lines.insert(2, json.dumps(event))
+    path.write_text("\n".join(lines) + "\n")
+    replay = load_trace(path)
+    assert replay.malformed_lines == 0
+    assert replay.wall_ms == 150.0
+    assert replay.phase_totals()["learn"]["total_ms"] == 60.0
+
+
 def test_render_phase_table_mentions_every_phase(tmp_path):
     replay = load_trace(_write_trace(tmp_path, _cegis_like))
     table = render_phase_table(replay)

@@ -93,18 +93,6 @@ def test_exception_marks_the_span_and_still_emits_it():
     assert span["attrs"]["error"] == "RuntimeError"
 
 
-def test_events_attach_to_the_open_span():
-    sink = io.StringIO()
-    tracer = Tracer(sink, trace_id="t", clock=ManualClock())
-    with tracer.span("host"):
-        tracer.event("sat.restart", conflicts=12)
-    records = _records(sink)
-    event = next(r for r in records if r["type"] == "event")
-    host = _spans(sink)["host"]
-    assert event["span"] == host["id"]
-    assert event["attrs"] == {"conflicts": 12}
-
-
 def test_non_scalar_attrs_are_coerced_to_repr():
     sink = io.StringIO()
     tracer = Tracer(sink, trace_id="t", clock=ManualClock())
@@ -118,7 +106,6 @@ def test_null_tracer_is_inert_and_reusable():
     with span as entered:
         entered.set(ignored=1)
     assert NULL_TRACER.enabled is False
-    NULL_TRACER.event("nothing")
     NULL_TRACER.close()
 
 

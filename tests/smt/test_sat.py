@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt.sat import SatSolver, _luby
+from repro.smt.sat import SatSolver
 
 
 def brute_force(num_vars: int, clauses: list[list[int]]) -> bool:
@@ -22,10 +22,6 @@ def check_model(solver: SatSolver, clauses: list[list[int]]) -> None:
     model = solver.model()
     for clause in clauses:
         assert any(model[abs(l)] == (l > 0) for l in clause), clause
-
-
-def test_luby_prefix():
-    assert [_luby(i) for i in range(1, 10)] == [1, 1, 2, 1, 1, 2, 4, 1, 1]
 
 
 def test_empty_instance_is_sat():
