@@ -30,7 +30,7 @@ carries its own :data:`~repro.smt.stats.GLOBAL_COUNTERS` delta.  Pool
 workers ship their records with ``predicate`` rendered to
 ``predicate_sql`` (``Pred`` trees do not cross the process boundary),
 together with their per-query :data:`~repro.smt.stats.GLOBAL_COUNTERS`
-and :data:`~repro.obs.metrics.GLOBAL_METRICS` deltas.
+delta.
 
 Environment knobs (the crash knob :data:`CRASH_ENV`) cross the
 process boundary through the pool's explicit initializer -- never
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs.clock import now as _now
-from ..obs.metrics import GLOBAL_METRICS, merge_delta
 from ..obs.trace import get_tracer
 from ..smt.stats import GLOBAL_COUNTERS
 from ..tpch import WorkloadQuery, generate_workload
@@ -84,11 +83,10 @@ CellKey = tuple[int, tuple[str, ...], str]
 
 @dataclass
 class ParallelRunResult:
-    """Merged records plus aggregated solver counters and metrics."""
+    """Merged records plus aggregated solver counters."""
 
     records: list[EfficacyRecord] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
-    metrics: dict[str, dict] = field(default_factory=dict)
     workers: int = 1
     #: Run statistics: workers, pool restarts, busy time, utilization.
     pool: dict = field(default_factory=dict)
@@ -104,7 +102,6 @@ class _Batch:
     index: int
     records: list[EfficacyRecord]
     counters: dict[str, int]
-    metrics: dict[str, dict]
     busy_ms: float
     #: (pid, applied environment) of the pool worker that ran it.
     worker: tuple[int, dict] | None = None
@@ -126,11 +123,8 @@ def _query_batch(
     tracer = get_tracer()
     start = _now()
     before = GLOBAL_COUNTERS.snapshot()
-    metrics_before = GLOBAL_METRICS.snapshot()
     records: list[EfficacyRecord] = []
-    with GLOBAL_METRICS.timer("bench.query_ms").time(), tracer.span(
-        "bench.query", index=wq.index, counters=True
-    ):
+    with tracer.span("bench.query", index=wq.index, counters=True):
         for subset in column_subsets():
             subset_names = tuple(col.name for col in subset)
             pending = [
@@ -164,12 +158,10 @@ def _query_batch(
                 records.append(record)
                 if on_cell is not None:
                     on_cell(record)
-    GLOBAL_METRICS.counter("bench.cells").inc(len(records))
     return _Batch(
         index=wq.index,
         records=records,
         counters=GLOBAL_COUNTERS.delta_since(before),
-        metrics=GLOBAL_METRICS.delta_since(metrics_before),
         busy_ms=(_now() - start) * 1000.0,
     )
 
@@ -349,19 +341,16 @@ def parallel_efficacy_records(
     # and aggregates are identical for any worker count.
     ordered = [batches[index] for index in sorted(batches)]
     counters: dict[str, int] = {}
-    metrics: dict[str, dict] = {}
     worker_env: dict[int, dict] = {}
     for batch in ordered:
         for name, value in batch.counters.items():
             counters[name] = counters.get(name, 0) + value
-        merge_delta(metrics, batch.metrics)
         if batch.worker is not None:
             pid, env = batch.worker
             worker_env[pid] = env
     return ParallelRunResult(
         records=[record for batch in ordered for record in batch.records],
         counters=counters,
-        metrics=metrics,
         workers=workers,
         pool=pool_stats,
         worker_env=worker_env,

@@ -511,21 +511,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"report: error: {exc}", file=sys.stderr)
         return 2
-    if args.as_json:
-        import json
+    try:
+        if args.as_json:
+            import json
 
-        print(
-            json.dumps(
-                {"profiles": per_query_profiles(records)},
-                indent=2,
-                sort_keys=True,
+            print(
+                json.dumps(
+                    {"profiles": per_query_profiles(records)},
+                    indent=2,
+                    sort_keys=True,
+                )
             )
-        )
-        return 0
-    if records:
-        print(summarize(records))
-        print()
-    print(render_report(records))
+        else:
+            if records:
+                print(summarize(records))
+                print()
+            print(render_report(records))
+    except BrokenPipeError:
+        # A closed pipe (`| head`) is not an error; see _cmd_analyze.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -204,6 +204,13 @@ class Synthesizer:
     def _synthesize(
         self, pred: Pred, targets: list[Column], tracer
     ) -> SynthesisOutcome:
+        # The budget covers the whole call: QE and the initial samples
+        # too, so a spent budget stops before the first iteration.
+        deadline = (
+            _clock_now() + self.config.timeout_ms / 1000.0
+            if self.config.timeout_ms is not None
+            else None
+        )
         timings = Timings()
         outcome = SynthesisOutcome(
             status=FAILED,
@@ -304,11 +311,6 @@ class Synthesizer:
         # satisfy a later NOT p2 anyway.
         counter_t_enum: IncrementalEnumerator | None = None
 
-        deadline = (
-            _clock_now() + self.config.timeout_ms / 1000.0
-            if self.config.timeout_ms is not None
-            else None
-        )
         while iteration < self.config.max_iterations:
             if deadline is not None and _clock_now() > deadline:
                 status = VALID if not p1.is_trivial else FAILED

@@ -6,7 +6,9 @@ table over the build side's key span: one gather per probe row. Keys it
 cannot take -- non-integer, repeated on the build side, or a span wider
 than :data:`DENSE_SPAN_FACTOR` times the build side -- fall back to the
 sort-and-searchsorted idiom. Both give the same rows in the same order.
-Every operator records rows-in/rows-out in :class:`ExecutionStats`.
+A filter evaluates its conjuncts one at a time, each over the rows the
+earlier ones kept (:data:`SELECTION_FACTOR`). Every operator records
+rows-in/rows-out in :class:`ExecutionStats`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ..obs.clock import now as _now
 from ..errors import PlanError
-from ..predicates import Column, eval_pred_numpy
+from ..predicates import Column, Pred, eval_pred_numpy
 from .catalog import Catalog
 from .plan import (
     Aggregate,
@@ -57,10 +59,7 @@ def _run(plan: PlanNode, catalog: Catalog, stats: ExecutionStats) -> Relation:
     if isinstance(plan, Filter):
         child = _run(plan.child, catalog, stats)
         t0 = _now()
-        truth, _ = eval_pred_numpy(
-            plan.predicate, child.resolver(), child.num_rows
-        )
-        out = child.filter(truth)
+        out = _filter(child, plan.predicate)
         stats.record(
             f"Filter({plan.predicate!r})",
             child.num_rows,
@@ -129,6 +128,39 @@ def _run(plan: PlanNode, catalog: Catalog, stats: ExecutionStats) -> Relation:
         )
         return out
     raise PlanError(f"unknown plan node {type(plan).__name__}")
+
+
+# ----------------------------------------------------------------------
+#: A Filter ANDs its top-level conjuncts into one mask over its input
+#: until at most 1/SELECTION_FACTOR of the rows survive; then it keeps
+#: only the survivors' row numbers, and every later conjunct reads its
+#: columns gathered through that selection.  A sweep over the
+#: plan-cache shapes (docs/INTERNALS.md, "Engine filters") put the cut
+#: at 4: compacting after every conjunct pays a gather per column on
+#: filters that keep most rows, and a later cut evaluates selective
+#: conjuncts at full length.
+SELECTION_FACTOR = 4
+
+
+def _filter(relation: Relation, predicate: Pred) -> Relation:
+    """The rows of ``relation`` on which ``predicate`` is TRUE, in order.
+
+    Conjuncts run in plan order, each over the rows every earlier one
+    left TRUE (see :data:`SELECTION_FACTOR`).
+    """
+    mask = None
+    for conjunct in predicate.conjuncts():
+        truth, _ = eval_pred_numpy(
+            conjunct, relation.resolver(), relation.num_rows
+        )
+        if mask is None:
+            mask = truth
+        else:
+            mask &= truth
+        if np.count_nonzero(mask) * SELECTION_FACTOR <= relation.num_rows:
+            relation = relation.filter(mask)
+            mask = None
+    return relation if mask is None else relation.filter(mask)
 
 
 # ----------------------------------------------------------------------

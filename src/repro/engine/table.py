@@ -147,6 +147,10 @@ class Relation:
         return Relation(data, len(indices))
 
     def filter(self, mask: np.ndarray) -> "Relation":
+        # When every row passes, keep this relation and the columns it
+        # has already gathered.
+        if mask.all():
+            return self
         return self.take(np.flatnonzero(mask))
 
     def project(self, columns: list[Column]) -> "Relation":

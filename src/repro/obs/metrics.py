@@ -10,14 +10,11 @@ created on demand, with distributions:
   exact past the cap) and a context-manager ``time()`` reading the
   injectable clock.
 
-The registry is **delta-oriented** so the parallel workload driver can
-aggregate across worker processes exactly like the solver counters:
-``snapshot()`` in the worker before the batch, ``delta_since()``
-after, ship the (pure-JSON) delta to the parent, and
-:func:`merge_delta` folds worker deltas into one aggregate **in batch
-order** -- the merged timer value streams are deterministic given
-a deterministic schedule, and the parent process's own registry is
-never mixed in (no double-counting).
+The registry is **delta-oriented**: ``snapshot()`` before a stretch of
+work and ``delta_since()`` after give that work's metrics as pure
+JSON, and :func:`merge_delta` folds such deltas into one aggregate **in
+the order given** -- the merged timer value streams are deterministic
+given a deterministic order.
 
 Everything here is plain ints/floats on purpose: metrics never touch
 solver arithmetic, so SIA001's exact-zone rules do not apply.

@@ -185,12 +185,24 @@ def eval_expr_numpy(expr: Expr, resolve: Resolver, length: int):
     Temporal values are int64 offsets from the global epoch.  Literals
     stay python scalars (numpy broadcasting makes materialising
     constant arrays pointless), and a ``None`` mask means "no NULLs".
+
+    Arithmetic over int64 columns and int64-range integer literals is
+    folded into ``sum(k * col) + c`` and summed into one accumulator
+    (:func:`_linear_form`); int64 arithmetic is a ring modulo 2**64, so
+    the folded values equal the node-by-node ones bit for bit,
+    wrap-around included.  DOUBLE, ``/``, column x column and literals
+    outside int64 take the node-by-node path below.
     """
     if isinstance(expr, Lit):
         return _encode_literal_epoch(expr), None
     if isinstance(expr, Col):
         return resolve(expr.column)
     if isinstance(expr, Arith):
+        form = _linear_form(expr)
+        if form is not None and form[0]:
+            folded = _eval_linear(*form, resolve, length)
+            if folded is not None:
+                return folded
         left, left_null = eval_expr_numpy(expr.left, resolve, length)
         right, right_null = eval_expr_numpy(expr.right, resolve, length)
         nulls = _or_nulls(left_null, right_null)
@@ -213,6 +225,100 @@ def eval_expr_numpy(expr: Expr, resolve: Resolver, length: int):
             nulls = np.ones(length, dtype=bool)
         return values, nulls
     raise UnsupportedPredicateError(f"cannot evaluate {expr!r}")
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _linear_form(expr: Expr) -> tuple[dict[Column, int], int] | None:
+    """``expr`` as exact ``({column: k}, c)`` meaning ``sum(k * col) + c``.
+
+    Every column the expression names is a key, also one whose
+    coefficients cancel to 0, so its NULLs still count.  None when the
+    expression has a ``/``, multiplies two column terms, or has a
+    non-integer literal; and when a literal-only subexpression that
+    meets a column term falls outside int64, where the node-by-node
+    path raises rather than wraps.
+    """
+    if isinstance(expr, Lit):
+        value = _encode_literal_epoch(expr)
+        return ({}, value) if type(value) is int else None
+    if isinstance(expr, Col):
+        return {expr.column: 1}, 0
+    if not isinstance(expr, Arith) or expr.op == "/":
+        return None
+    left = _linear_form(expr.left)
+    if left is None:
+        return None
+    right = _linear_form(expr.right)
+    if right is None:
+        return None
+    (left_terms, left_const), (right_terms, right_const) = left, right
+    if left_terms and right_terms:
+        if expr.op == "*":
+            return None
+    elif left_terms and not _INT64_MIN <= right_const <= _INT64_MAX:
+        return None
+    elif right_terms and not _INT64_MIN <= left_const <= _INT64_MAX:
+        return None
+    if expr.op == "*":
+        if right_terms:
+            left_terms, left_const, right_const = right_terms, right_const, left_const
+        return (
+            {column: k * right_const for column, k in left_terms.items()},
+            left_const * right_const,
+        )
+    sign = 1 if expr.op == "+" else -1
+    terms = dict(left_terms)
+    for column, k in right_terms.items():
+        terms[column] = terms.get(column, 0) + sign * k
+    return terms, left_const + sign * right_const
+
+
+def _wrap_int64(value: int) -> int:
+    """``value`` modulo 2**64, as a signed int64."""
+    return (value - _INT64_MIN) % 2**64 + _INT64_MIN
+
+
+def _eval_linear(
+    terms: dict[Column, int], const: int, resolve: Resolver, length: int
+):
+    """``sum(k * col) + c`` in one int64 accumulator -> (values, nulls).
+
+    None if a column is not stored as int64; the caller then evaluates
+    node by node.  A lone ``1 * col`` comes back as the column itself,
+    as a bare :class:`Col` does.
+    """
+    nulls = None
+    scaled = []
+    for column, k in terms.items():
+        values, column_nulls = resolve(column)
+        if values.dtype != np.int64:
+            return None
+        nulls = _or_nulls(nulls, column_nulls)
+        k = _wrap_int64(k)
+        if k:
+            scaled.append((k, values))
+    const = _wrap_int64(const)
+    if not scaled:
+        return np.full(length, const, dtype=np.int64), nulls
+    k, values = scaled[0]
+    if k == 1:
+        acc, owned = values, False  # borrowed until the first write
+    else:
+        acc, owned = np.multiply(values, k), True
+    for k, values in scaled[1:]:
+        out = acc if owned else None
+        if k == 1:
+            acc = np.add(acc, values, out=out)
+        elif k == -1:
+            acc = np.subtract(acc, values, out=out)
+        else:
+            acc = np.add(acc, np.multiply(values, k), out=out)
+        owned = True
+    if const:
+        acc = np.add(acc, const, out=acc if owned else None)
+    return acc, nulls
 
 
 def _encode_literal_epoch(lit: Lit):
@@ -276,7 +382,8 @@ def eval_pred_numpy(
         _, nulls = eval_expr_numpy(pred.expr, resolve, length)
         if nulls is None:
             nulls = np.zeros(length, dtype=bool)
-        truth = ~nulls if pred.negated else nulls
+        # A fresh array either way: callers may AND into the truth mask.
+        truth = ~nulls if pred.negated else nulls.copy()
         return truth, np.zeros(length, dtype=bool)
     raise UnsupportedPredicateError(f"cannot evaluate {pred!r}")
 

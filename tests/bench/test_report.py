@@ -2,10 +2,14 @@
 report`` over fullscale checkpoints."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import format_table, histogram
 from repro.bench.fullscale import load_checkpoint
 from repro.bench.harness import EfficacyRecord, record_to_json
@@ -156,3 +160,25 @@ def test_report_reads_committed_pre_counters_checkpoint(tmp_path, capsys):
 def test_report_missing_file_exits_2(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.jsonl")]) == 2
     assert "report: error" in capsys.readouterr().err
+
+
+def test_report_into_closed_pipe_keeps_exit_code():
+    """`repro report PATH | head` ends quietly with the exit code when
+    the reader goes away: here the pipe is closed before anything is
+    written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "report", str(COMMITTED_8Q)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr

@@ -53,6 +53,16 @@ def test_timeout_never_yields_invalid_predicate():
         assert eval_pred_py(outcome.predicate, {A1: a1, A2: a2}) is True
 
 
+def test_budget_covers_initial_sampling():
+    """The clock starts with the call: a 1 ms budget is spent by QE and
+    the initial samples, so no CEGIS iteration runs."""
+    outcome = synthesize(hard_predicate(), {A1, A2}, SiaConfig(timeout_ms=1, seed=0))
+    assert outcome.timed_out
+    assert outcome.iterations == 0
+    assert outcome.status == "failed"
+    assert outcome.predicate is None
+
+
 def test_no_timeout_by_default():
     assert SiaConfig().timeout_ms is None
 
