@@ -99,7 +99,8 @@ RULE_CATALOG: dict[str, RuleInfo] = {
         RuleInfo(
             "SIA010",
             "raw wall-clock read outside repro.obs.clock",
-            "use repro.obs.now()/Timer so tests can install ManualClock; "
+            "use repro.obs.now() or a tracer span so tests can install "
+            "ManualClock; "
             "this covers time.*, aliased 'from time import ...' names "
             "and datetime.now()/today()/utcnow()",
         ),

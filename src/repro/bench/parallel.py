@@ -293,7 +293,7 @@ def parallel_efficacy_records(
 
     Returns the records in ascending query index, subsets and
     techniques in their canonical enumeration order, together with the
-    summed solver-counter and metric deltas.  In-process records keep
+    summed solver-counter deltas.  In-process records keep
     their ``Pred`` predicates; pool records carry ``predicate_sql``
     instead (``predicate`` is ``None``).
 

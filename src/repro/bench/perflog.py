@@ -20,7 +20,6 @@ Schema (version 1)::
                                    # JSONL trace captured for the same
                                    # run (``repro trace`` on that file
                                    # attributes the wall-clock here)
-          "metrics": {...},        # optional: GLOBAL_METRICS summary
           ...                      # benchmark-specific extras
         }
       }
@@ -28,9 +27,9 @@ Schema (version 1)::
 
 Writes merge by benchmark name, so the micro-bench and the workload
 driver can contribute to the same file independently.  ``trace_id``
-and ``metrics`` are additive extras within schema version 1: absent
-in entries written before observability landed, present whenever a
-run was traced (see :func:`stamp_trace_id`).
+is an additive extra within schema version 1: absent in entries
+written before observability landed, present whenever a run was
+traced (see :func:`stamp_trace_id`).
 """
 
 from __future__ import annotations

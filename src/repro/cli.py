@@ -383,7 +383,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         summarize_times,
         update_bench_json,
     )
-    from .obs import install_file_tracer, now
+    from .obs import get_tracer, install_file_tracer, now
 
     if args.compare_path is not None:
         return _cmd_bench_compare(args)
@@ -401,10 +401,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         trace_id = tracer.trace_id if tracer is not None else None
         start = now()
         try:
-            with (
-                tracer.span("bench.workload", workers=workers, counters=True)
-                if tracer is not None
-                else nullcontext()
+            with get_tracer().span(
+                "bench.workload", workers=workers, counters=True
             ):
                 new_cells = fullscale_run(
                     num_queries,

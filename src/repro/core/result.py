@@ -9,15 +9,31 @@ The timing breakdown follows Table 3 of the paper:
   columns, the exact closed-form choice over one,
 * validation time -- checking validity of a learned predicate and
   optimality of a valid one with the solver.
+
+The stage times are read off the CEGIS phase spans
+(:mod:`repro.obs.trace`), the same measurements ``repro trace``
+attributes, through :data:`PHASE_STAGE`:
+
+======================  ==========
+span ``phase``          stage
+======================  ==========
+``qe``                  generation
+``generate_samples``    generation
+``counter_f``           generation
+``counter_t``           generation
+``learn``               learning
+``verify``              validation
+``minimize``            validation
+======================  ==========
+
+As in ``repro trace``, only the outermost phase span on a path counts.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..obs.clock import now
 from ..predicates import Pred
 from ..smt import Var
 
@@ -31,6 +47,18 @@ FAILED = "failed"  # could not synthesize a valid predicate
 UNSUPPORTED = "unsupported"  # predicate outside Sia's fragment
 
 
+#: Table 3 stage of each CEGIS phase label (see the module doc).
+PHASE_STAGE = {
+    "qe": "generation",
+    "generate_samples": "generation",
+    "counter_f": "generation",
+    "counter_t": "generation",
+    "learn": "learning",
+    "verify": "validation",
+    "minimize": "validation",
+}
+
+
 @dataclass
 class Timings:
     """Milliseconds spent per pipeline stage."""
@@ -39,17 +67,15 @@ class Timings:
     learning_ms: float = 0.0
     validation_ms: float = 0.0
 
-    @contextmanager
-    def track(self, stage: str):
-        # The injectable clock keeps these breakdowns deterministic
-        # under ManualClock in tests (and SIA010-compliant).
-        start = now()
-        try:
-            yield
-        finally:
-            elapsed = (now() - start) * 1000.0
-            attr = f"{stage}_ms"
-            setattr(self, attr, getattr(self, attr) + elapsed)
+    @classmethod
+    def from_phases(cls, phase_ms: dict[str, float]) -> "Timings":
+        """Stage totals of a span's outermost phase times
+        (:attr:`repro.obs.trace.Span.phase_ms`)."""
+        timings = cls()
+        for phase, ms in phase_ms.items():
+            attr = f"{PHASE_STAGE[phase]}_ms"
+            setattr(timings, attr, getattr(timings, attr) + ms)
+        return timings
 
     @property
     def total_ms(self) -> float:

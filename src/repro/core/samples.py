@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..obs.clock import now as _clock_now
 from ..smt import (
     LE,
     LT,
@@ -76,11 +77,23 @@ class SampleSet:
 
 
 class Sampler:
-    """Draws diverse models of formulas, projected onto target columns."""
+    """Draws diverse models of formulas, projected onto target columns.
 
-    def __init__(self, config: SiaConfig, rng: random.Random) -> None:
+    ``deadline`` (a clock reading, see :mod:`repro.obs.clock`) stops a
+    request between draws once it has passed; the points drawn so far
+    come back with ``exhausted=False``, since the constraint may still
+    have models.
+    """
+
+    def __init__(
+        self,
+        config: SiaConfig,
+        rng: random.Random,
+        deadline: float | None = None,
+    ) -> None:
         self.config = config
         self.rng = rng
+        self.deadline = deadline
 
     # ------------------------------------------------------------------
     def sample(
@@ -124,6 +137,8 @@ class Sampler:
 
         try:
             for _ in range(count):
+                if self.deadline is not None and _clock_now() > self.deadline:
+                    break
                 point = None
                 for attempt in range(attempts):
                     assumptions = self._random_region_atoms(variables)

@@ -184,7 +184,8 @@ class Synthesizer:
 
         Each call is one ``synthesize`` root span in the trace (see
         :mod:`repro.obs.trace`); the CEGIS stages inside carry the
-        ``phase`` labels ``repro trace`` attributes time to.
+        ``phase`` labels ``repro trace`` attributes time to, and the
+        outcome's :class:`Timings` are those phase spans' durations.
         """
         targets = sorted(set(target_columns))
         tracer = get_tracer()
@@ -193,6 +194,7 @@ class Synthesizer:
             targets=",".join(col.qualified for col in targets),
         ) as root:
             outcome = self._synthesize(pred, targets, tracer)
+            outcome.timings = Timings.from_phases(root.phase_ms)
             root.set(
                 status=outcome.status,
                 iterations=outcome.iterations,
@@ -211,10 +213,8 @@ class Synthesizer:
             if self.config.timeout_ms is not None
             else None
         )
-        timings = Timings()
         outcome = SynthesisOutcome(
             status=FAILED,
-            timings=timings,
             target_columns=tuple(col.qualified for col in targets),
         )
         if not targets:
@@ -244,12 +244,10 @@ class Synthesizer:
 
         target_vars = [ctx.var_of_column[col] for col in targets]
         rng = random.Random(self.config.seed)
-        sampler = Sampler(self.config, rng)
+        sampler = Sampler(self.config, rng, deadline)
 
         # ---------------- Unsatisfaction region (Lemma 4) -------------
-        with timings.track("generation"), tracer.span(
-            "qe.unsat_region", phase="qe", counters=True
-        ):
+        with tracer.span("qe.unsat_region", phase="qe", counters=True):
             try:
                 region = unsat_region(formula, set(target_vars))
             except Exception as exc:  # DNF blowup or projection failure
@@ -263,20 +261,21 @@ class Synthesizer:
             return outcome
 
         # ---------------- Initial samples (section 5.3) ---------------
-        with timings.track("generation"), tracer.span(
+        with tracer.span(
             "cegis.generate_samples", phase="generate_samples", counters=True
         ) as gen_span:
             ts_set = sampler.sample(
                 formula, target_vars, self.config.initial_true_samples
             )
             ts = ts_set.points
-            if ts_set.exhausted:
-                return self._finite_true_outcome(outcome, ctx, targets, formula, target_vars)
-            fs_set = sampler.sample(
-                region.formula, target_vars, self.config.initial_false_samples
-            )
-            fs = fs_set.points
-            gen_span.set(true_samples=len(ts), false_samples=len(fs))
+            if not ts_set.exhausted:
+                fs_set = sampler.sample(
+                    region.formula, target_vars, self.config.initial_false_samples
+                )
+                fs = fs_set.points
+                gen_span.set(true_samples=len(ts), false_samples=len(fs))
+        if ts_set.exhausted:
+            return self._finite_true_outcome(outcome, ctx, targets, formula, target_vars)
         if fs_set.exhausted:
             return self._finite_false_outcome(
                 outcome, ctx, targets, region.formula, target_vars, fs
@@ -319,11 +318,9 @@ class Synthesizer:
                 break
             iteration += 1
             with tracer.span("cegis.iteration", index=iteration):
-                with timings.track("learning"), tracer.span(
-                    "cegis.learn", phase="learn"
-                ):
+                with tracer.span("cegis.learn", phase="learn"):
                     p2 = learn(ts, fs, target_vars, self.config, rng)
-                with timings.track("validation"), tracer.span(
+                with tracer.span(
                     "cegis.verify", phase="verify", counters=True
                 ) as verify_span:
                     # The tighter verify budget keeps dense-coefficient
@@ -344,9 +341,7 @@ class Synthesizer:
 
                 if valid:
                     p1.parts.append(p2)
-                    with timings.track("validation"), tracer.span(
-                        "cegis.prune", phase="minimize"
-                    ):
+                    with tracer.span("cegis.prune", phase="minimize"):
                         # Cheap per-iteration pass: the newest predicate most
                         # often subsumes its immediate predecessor.  A full
                         # pruning pass runs once at the end of the loop.
@@ -354,7 +349,7 @@ class Synthesizer:
                     counter_f_enum.add(p2.formula())
                     want = max(1, self.config.samples_per_iteration)
                     new_fs: list[Point] = []
-                    with timings.track("generation"), tracer.span(
+                    with tracer.span(
                         "cegis.counter_f", phase="counter_f", counters=True
                     ) as cf_span:
                         for _ in range(want):
@@ -384,7 +379,7 @@ class Synthesizer:
                         # exactly those witnesses (Lemma 4 needs none).
                         # Unknown (budget exhausted) counts as sub-optimal:
                         # never over-claim optimality.
-                        with timings.track("validation"), tracer.span(
+                        with tracer.span(
                             "cegis.optimality", phase="verify", counters=True
                         ):
                             sub_optimal = not unsat_proven(
@@ -410,7 +405,7 @@ class Synthesizer:
                     fs.extend(new_fs)
                 else:
                     want = max(1, self.config.samples_per_iteration)
-                    with timings.track("generation"), tracer.span(
+                    with tracer.span(
                         "cegis.counter_t", phase="counter_t", counters=True
                     ) as ct_span:
                         # NotOld over the existing TRUE samples is
@@ -460,9 +455,7 @@ class Synthesizer:
             counter_t_enum.close()
         verifier.close()
 
-        with timings.track("validation"), tracer.span(
-            "cegis.minimize", phase="minimize", counters=True
-        ):
+        with tracer.span("cegis.minimize", phase="minimize", counters=True):
             p1.minimize(witnesses=fs)
         outcome.iterations = iteration
         outcome.true_samples = len(ts)
@@ -495,7 +488,7 @@ class Synthesizer:
         formula: Formula,
         target_vars: list[Var],
     ) -> SynthesisOutcome:
-        with outcome.timings.track("generation"), get_tracer().span(
+        with get_tracer().span(
             "cegis.enumerate_true", phase="generate_samples", counters=True
         ):
             full = enumerate_all(
@@ -530,7 +523,7 @@ class Synthesizer:
         target_vars: list[Var],
         initial: list[Point],
     ) -> SynthesisOutcome:
-        with outcome.timings.track("generation"), get_tracer().span(
+        with get_tracer().span(
             "cegis.enumerate_false", phase="generate_samples", counters=True
         ):
             full = enumerate_all(

@@ -4,11 +4,12 @@ A zero-dependency substrate the whole stack reports through:
 
 * :mod:`repro.obs.clock` -- the injectable monotonic clock every
   duration in the repo is measured on (lint rule SIA010 pins this);
-* :mod:`repro.obs.trace` -- context-manager span tracing to JSONL,
-  off by default, with per-span attributes and counter deltas;
-* :mod:`repro.obs.metrics` -- named counters and timers with
-  worker-mergeable deltas, generalizing the solver's
-  :data:`~repro.smt.stats.GLOBAL_COUNTERS`;
+* :mod:`repro.obs.trace` -- context-manager spans that always measure
+  (CEGIS stage times come from them) and are written as JSONL only
+  when a tracer with a sink is installed, with per-span attributes
+  and counter deltas;
+* :mod:`repro.obs.metrics` -- named duration timers with
+  snapshot/delta windows (the SMT session-check timer);
 * :mod:`repro.obs.replay` -- the ``repro trace`` replay: per-phase
   attribution tables and text flamegraphs from a trace file.
 
@@ -31,38 +32,20 @@ from pathlib import Path
 from typing import Iterator
 
 from .clock import Clock, ManualClock, get_clock, now, set_clock
-from .metrics import (
-    GLOBAL_METRICS,
-    Counter,
-    MetricsRegistry,
-    Timer,
-    merge_delta,
-    summarize_values,
-)
-from .trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-)
+from .metrics import GLOBAL_METRICS, MetricsRegistry, Timer, summarize_values
+from .trace import Span, Tracer, get_tracer, set_tracer
 
 __all__ = [
     "Clock",
-    "Counter",
     "GLOBAL_METRICS",
     "ManualClock",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Timer",
     "Tracer",
     "get_clock",
     "get_tracer",
     "install_file_tracer",
-    "merge_delta",
     "now",
     "set_clock",
     "set_tracer",
@@ -83,7 +66,7 @@ def install_file_tracer(
     in as the tracer's counter source, so ``span(..., counters=True)``
     records solver-effort deltas (checks, learned clauses, simplex
     pivots) as span attributes.  On exit the previous tracer (normally
-    the null tracer) is restored and the file is closed.
+    the sink-less default) is restored and the file is closed.
     """
     # Imported here, not at module level: repro.obs must stay importable
     # below repro.smt (smt.session reads the tracer at check time).

@@ -2,16 +2,19 @@
 
 Every duration measured anywhere in :mod:`repro` flows through this
 module (lint rule SIA010 rejects direct ``time.time()`` /
-``time.perf_counter()`` calls outside ``obs/``), for two reasons:
+``time.perf_counter()`` calls outside ``obs/clock.py``), for two
+reasons:
 
 * **Deterministic traces in tests.**  Swapping in a
-  :class:`ManualClock` makes span durations, timer values and
-  ``Timings`` breakdowns exact, so tests can assert on attribution
-  tables instead of sleeping and hoping.
+  :class:`ManualClock` makes span durations exact -- and with them the
+  CEGIS stage ``Timings``, which are read off the phase spans -- so
+  tests can assert on attribution tables instead of sleeping and
+  hoping.
 * **One overhead budget.**  The tracer, the metrics registry and the
-  engine's operator stats all pay the same per-read cost, so the
-  "tracing disabled" fast path is a single indirect call on top of
-  ``time.perf_counter`` (~100ns), not a policy decision per call site.
+  engine's operator stats all pay the same per-read cost: a single
+  indirect call on top of ``time.perf_counter`` (~100ns).  A span
+  reads the clock on entry and exit whether or not its tracer writes
+  a trace, so tracing changes what is written, never what is read.
 
 ``now()`` returns *seconds* on an arbitrary monotonic epoch, matching
 ``time.perf_counter``; callers convert to milliseconds at the edge.

@@ -13,10 +13,12 @@ invisible to monotone counters; this tracer records it as a tree of
 * every completed span is one JSON line in the sink, so traces stream,
   append, and survive crashes up to the last finished span.
 
-Tracing is **off by default**: the module-level tracer is a
-:class:`NullTracer` whose ``span()`` returns a shared no-op context
-manager -- the instrumented hot paths pay one global read and one
-method call.  ``repro trace`` (:mod:`repro.obs.replay`) rebuilds the
+Spans always measure; only emitting them is optional.  The default
+process-wide tracer is a :class:`Tracer` with no sink: it reads the
+clock on span entry and exit, keeps the span stack, and writes no
+JSON and takes no counter snapshots.  Installing a tracer with a sink
+(:func:`repro.obs.install_file_tracer`) makes the same spans one JSON
+line each.  ``repro trace`` (:mod:`repro.obs.replay`) rebuilds the
 tree and renders per-phase attribution tables and a text flamegraph.
 
 The ``phase`` attribute is the attribution label: ``repro trace``
@@ -24,6 +26,10 @@ charges a span carrying ``phase=...`` to that phase and ignores any
 phase spans nested below it, so instrumentation must put phase labels
 only on non-overlapping regions (the CEGIS instrumentation labels the
 leaf stages Learn / Verify / CounterT / CounterF / GenerateSamples).
+Every span applies the same rule as it closes: :attr:`Span.phase_ms`
+holds the milliseconds of the outermost phase spans below it, by
+phase.  This is where :class:`repro.core.result.Timings` comes from,
+so Table 3 and ``repro trace`` read the same measurements.
 
 Wire format (one object per line)::
 
@@ -41,11 +47,9 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, IO
 
-from .clock import Clock, get_clock
+from .clock import Clock, now
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "get_tracer",
@@ -55,49 +59,16 @@ __all__ = [
 TRACE_VERSION = 1
 
 
-class _NullSpan:
-    """Shared do-nothing span for the tracing-disabled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-    def set(self, **attrs: Any) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every call is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-    smt_spans = False
-    trace_id = ""
-
-    def span(self, name: str, *, counters: bool = False, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def close(self) -> None:
-        return None
-
-
-NULL_TRACER = NullTracer()
-
-
 class Span:
     """One live span; obtained from :meth:`Tracer.span`, used as a
-    context manager.  ``set()`` adds attributes until the span closes."""
+    context manager.  ``set()`` adds attributes until the span closes.
+
+    ``t0``/``t1`` are raw clock readings in seconds; the wire format
+    carries them as millisecond offsets from the tracer's first span.
+    """
 
     __slots__ = ("_tracer", "name", "span_id", "parent_id", "t0", "t1",
-                 "attrs", "_counter_base")
+                 "attrs", "phase_ms", "_counter_base")
 
     def __init__(
         self,
@@ -114,6 +85,9 @@ class Span:
         self.t0 = 0.0
         self.t1: float | None = None
         self.attrs = attrs
+        #: Milliseconds of the outermost phase spans below this one, by
+        #: phase (filled as they close; see the module doc).
+        self.phase_ms: dict[str, float] = {}
         self._counter_base: dict[str, int] | None = None
 
     def set(self, **attrs: Any) -> None:
@@ -121,12 +95,15 @@ class Span:
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        self.t0 = self._tracer._now_ms()
-        self._tracer._stack.append(self)
+        tracer = self._tracer
+        self.t0 = tracer._now()
+        if tracer._origin is None:
+            tracer._origin = self.t0
+        tracer._stack.append(self)
         return self
 
     def __exit__(self, exc_type: object, *exc: object) -> None:
-        self.t1 = self._tracer._now_ms()
+        self.t1 = self._tracer._now()
         if self._counter_base is not None:
             source = self._tracer._counter_source
             if source is not None:
@@ -144,6 +121,18 @@ class Span:
                 stack.remove(self)
             except ValueError:
                 pass
+        if stack:
+            # An outermost phase span claims its whole subtree, so the
+            # phase spans nested in it are not passed up.
+            totals = stack[-1].phase_ms
+            phase = self.attrs.get("phase")
+            if phase is not None:
+                totals[phase] = (
+                    totals.get(phase, 0.0) + (self.t1 - self.t0) * 1000.0
+                )
+            else:
+                for key, ms in self.phase_ms.items():
+                    totals[key] = totals.get(key, 0.0) + ms
         self._tracer._emit_span(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -151,28 +140,34 @@ class Span:
 
 
 class Tracer:
-    """A live tracer writing spans to a JSONL sink.
+    """A span tracer, writing each closed span to a JSONL sink if it
+    has one.
 
-    ``sink`` is any text-mode file-like object; the tracer never opens
-    or closes paths itself (see :func:`repro.obs.install_file_tracer`
-    for the owning wrapper).  ``counter_source`` is an optional
-    zero-argument callable returning a ``name -> int`` snapshot
-    (normally ``GLOBAL_COUNTERS.snapshot``); spans opened with
-    ``counters=True`` record the nonzero deltas over their lifetime as
-    ``ctr.*`` attributes -- this is how simplex pivots and SAT
-    conflicts land on the phase spans without per-pivot tracing cost.
-    ``smt_spans`` opts into one span per ``SmtSession.check`` (high
-    volume; off by default).
+    ``sink`` is any text-mode file-like object, or ``None`` for the
+    default tracer, which measures spans but writes nothing.  The
+    tracer never opens or closes paths itself (see
+    :func:`repro.obs.install_file_tracer` for the owning wrapper).
+    ``clock`` pins the clock; without one every reading goes to the
+    clock installed at that moment (:func:`repro.obs.clock.set_clock`).
+    ``counter_source`` is an optional zero-argument callable returning a
+    ``name -> int`` snapshot (normally ``GLOBAL_COUNTERS.snapshot``);
+    spans opened with ``counters=True`` record the nonzero deltas over
+    their lifetime as ``ctr.*`` attributes -- this is how simplex
+    pivots and SAT conflicts land on the phase spans without per-pivot
+    tracing cost.  ``smt_spans`` opts into one span per
+    ``SmtSession.check`` (high volume; off by default).
+
+    The span stack is the tracer's only state and is not locked: one
+    thread per tracer (the efficacy pool and the benchmarks run
+    synthesis in one thread per process).
     """
 
     __slots__ = ("trace_id", "smt_spans", "_sink", "_clock", "_origin",
                  "_stack", "_next_id", "_counter_source", "_closed")
 
-    enabled = True
-
     def __init__(
         self,
-        sink: IO[str],
+        sink: IO[str] | None = None,
         *,
         trace_id: str | None = None,
         clock: Clock | None = None,
@@ -180,14 +175,21 @@ class Tracer:
         smt_spans: bool = False,
     ) -> None:
         self._sink = sink
-        self._clock = clock or get_clock()
-        self.trace_id = trace_id if trace_id is not None else _fresh_trace_id()
+        self._clock = clock
         self.smt_spans = smt_spans
-        self._origin = self._clock.now()
+        # The first span's entry reading: the tracer reads the clock
+        # only on span entry and exit, so a traced run takes exactly the
+        # readings of an untraced one.
+        self._origin: float | None = None
         self._stack: list[Span] = []
         self._next_id = 0
-        self._counter_source = counter_source
         self._closed = False
+        if sink is None:
+            self.trace_id = ""
+            self._counter_source = None
+            return
+        self.trace_id = trace_id if trace_id is not None else _fresh_trace_id()
+        self._counter_source = counter_source
         self._write({"type": "meta", "trace_id": self.trace_id,
                      "version": TRACE_VERSION})
 
@@ -200,7 +202,7 @@ class Tracer:
         """
         self._next_id += 1
         parent = self._stack[-1].span_id if self._stack else None
-        span = Span(self, name, self._next_id, parent, dict(attrs))
+        span = Span(self, name, self._next_id, parent, attrs)
         if counters and self._counter_source is not None:
             span._counter_base = self._counter_source()
         return span
@@ -210,24 +212,29 @@ class Tracer:
         if self._closed:
             return
         self._closed = True
+        if self._sink is None:
+            return
         try:
             self._sink.flush()
         except (OSError, ValueError):  # pragma: no cover - sink gone
             pass
 
     # ------------------------------------------------------------------
-    def _now_ms(self) -> float:
-        return (self._clock.now() - self._origin) * 1000.0
+    def _now(self) -> float:
+        return self._clock.now() if self._clock is not None else now()
 
     def _emit_span(self, span: Span) -> None:
+        if self._sink is None:
+            return
+        origin = self._origin  # set by the first span's entry
         record: dict[str, Any] = {
             "type": "span",
             "trace_id": self.trace_id,
             "id": span.span_id,
             "parent": span.parent_id,
             "name": span.name,
-            "t0": round(span.t0, 4),
-            "t1": round(span.t1 if span.t1 is not None else span.t0, 4),
+            "t0": round((span.t0 - origin) * 1000.0, 4),
+            "t1": round((span.t1 - origin) * 1000.0, 4),
         }
         if span.attrs:
             record["attrs"] = _jsonable_attrs(span.attrs)
@@ -261,15 +268,16 @@ def _fresh_trace_id() -> str:
 #: The process-wide tracer.  Instrumented code reads it via
 #: :func:`get_tracer` on every use (never caches it across calls), so
 #: installing a tracer mid-process takes effect immediately.
-_TRACER: Tracer | NullTracer = NULL_TRACER
+_TRACER: Tracer = Tracer()
 
 
-def get_tracer() -> Tracer | NullTracer:
-    """The currently installed tracer (the shared null tracer when off)."""
+def get_tracer() -> Tracer:
+    """The currently installed tracer (the sink-less default when no
+    trace is being written)."""
     return _TRACER
 
 
-def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
+def set_tracer(tracer: Tracer) -> Tracer:
     """Install ``tracer`` process-wide; returns the previous one."""
     global _TRACER
     previous = _TRACER

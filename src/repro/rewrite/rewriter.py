@@ -120,21 +120,23 @@ def _merge_outcomes(outcomes, valid) -> SynthesisOutcome:
     from ..core.result import OPTIMAL, Timings, VALID
 
     timed_out = any(o.timed_out for o in outcomes)
+    # Every subset's synthesis time counts, whichever outcome is reported.
+    timings = Timings(
+        generation_ms=sum(o.timings.generation_ms for o in outcomes),
+        learning_ms=sum(o.timings.learning_ms for o in outcomes),
+        validation_ms=sum(o.timings.validation_ms for o in outcomes),
+    )
     if not valid:
         # Report the most informative failure.
         best = max(outcomes, key=lambda o: (o.iterations, len(o.detail)))
-        return dataclasses.replace(best, timed_out=timed_out)
+        return dataclasses.replace(best, timed_out=timed_out, timings=timings)
     merged = SynthesisOutcome(
         status=OPTIMAL if all(o.is_optimal for o in valid) else VALID,
         predicate=simplify_conjunction(pand([o.predicate for o in valid])),
         iterations=sum(o.iterations for o in outcomes),
         true_samples=sum(o.true_samples for o in outcomes),
         false_samples=sum(o.false_samples for o in outcomes),
-        timings=Timings(
-            generation_ms=sum(o.timings.generation_ms for o in outcomes),
-            learning_ms=sum(o.timings.learning_ms for o in outcomes),
-            validation_ms=sum(o.timings.validation_ms for o in outcomes),
-        ),
+        timings=timings,
         optimal_exact=all(o.optimal_exact for o in valid),
         target_columns=tuple(
             sorted({name for o in valid for name in o.target_columns})

@@ -4,6 +4,7 @@ import random
 
 from repro.core import SIA_DEFAULT, Sampler, SiaConfig, enumerate_all, not_old_formula
 from repro.core.samples import IncrementalEnumerator, box_formula
+from repro.obs import Clock, set_clock
 from repro.smt import LinExpr, Var, compare, conj, is_satisfiable
 
 X = Var("x")
@@ -12,9 +13,20 @@ ex, ey = LinExpr.var(X), LinExpr.var(Y)
 c = LinExpr.const_expr
 
 
-def make_sampler(seed=0, **overrides):
+def make_sampler(seed=0, deadline=None, **overrides):
     config = SiaConfig(seed=seed, **overrides)
-    return Sampler(config, random.Random(seed))
+    return Sampler(config, random.Random(seed), deadline)
+
+
+class StepClock(Clock):
+    """Advances 1 ms on every reading."""
+
+    def __init__(self) -> None:
+        self.readings = 0
+
+    def now(self) -> float:
+        self.readings += 1
+        return self.readings / 1000.0
 
 
 def test_samples_satisfy_base_formula():
@@ -47,6 +59,29 @@ def test_exhaustion_reported():
     result = make_sampler().sample(base, [X], 10)
     assert result.exhausted
     assert {int(p[X]) for p in result.points} == {0, 1, 2}
+
+
+def test_deadline_stops_between_draws_and_never_claims_exhaustion():
+    # The same finite set test_exhaustion_reported exhausts.  The
+    # request's span reads 1 ms and the first deadline check 2 ms; the
+    # first draw's solver checks then read the clock past 2.5 ms, so
+    # the second draw never starts.
+    base = conj([compare(ex, ">=", c(0)), compare(ex, "<=", c(2))])
+    clock = StepClock()
+    previous = set_clock(clock)
+    try:
+        result = make_sampler(deadline=0.0025).sample(base, [X], 10)
+    finally:
+        set_clock(previous)
+    assert len(result.points) == 1
+    assert not result.exhausted
+
+
+def test_deadline_in_the_future_draws_the_same_samples():
+    base = conj([compare(ex + ey, "<", c(50))])
+    plain = make_sampler(seed=7).sample(base, [X, Y], 8).points
+    bounded = make_sampler(seed=7, deadline=float("inf")).sample(base, [X, Y], 8)
+    assert bounded.points == plain
 
 
 def test_unsat_base_yields_empty_exhausted():

@@ -1,12 +1,11 @@
-"""Counter/metric delta round-trips across fork and spawn workers.
+"""Counter/timer delta round-trips across fork and spawn workers.
 
 The parallel driver's aggregation contract: each worker snapshots its
 process-local registries before the batch, ships ``delta_since`` after,
-and the parent folds the deltas -- summing counter increments and
-``merge_delta``-ing metric deltas in batch order.  These tests drive
-real child processes under every available start method and assert the
-folded totals equal exactly the work the children performed, even when
-a fork child inherits warm parent registries.
+and the parent sums the deltas.  These tests drive real child processes
+under every available start method and assert the summed totals equal
+exactly the work the children performed, even when a fork child
+inherits warm parent registries.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import multiprocessing
 
 import pytest
 
-from repro.obs.metrics import GLOBAL_METRICS, merge_delta
+from repro.obs.metrics import GLOBAL_METRICS
 from repro.smt.stats import GLOBAL_COUNTERS
 
 START_METHODS = [
@@ -35,7 +34,6 @@ def _worker(index: int, conn) -> None:
 
     GLOBAL_COUNTERS.checks += index + 1
     GLOBAL_COUNTERS.pivots += 10
-    GLOBAL_METRICS.counter("roundtrip.jobs").inc(index + 1)
     GLOBAL_METRICS.timer("roundtrip.size").record(float(index))
 
     conn.send(
@@ -54,7 +52,7 @@ def test_delta_roundtrip(method):
     # Pre-warm the parent registries.  A fork child inherits this
     # warmth; its per-child snapshot must fence it out of the delta.
     GLOBAL_COUNTERS.checks += 100
-    GLOBAL_METRICS.counter("roundtrip.jobs").inc(100)
+    GLOBAL_METRICS.timer("roundtrip.size").record(100.0)
 
     workers = 3
     pipes = [ctx.Pipe(duplex=False) for _ in range(workers)]
@@ -70,24 +68,26 @@ def test_delta_roundtrip(method):
         assert proc.exitcode == 0
 
     counter_total: dict[str, int] = {}
-    metric_total: dict = {}
+    timer_count = 0
+    timer_values: list[float] = []
     for counter_delta, metric_delta in deltas:
         for name, value in counter_delta.items():
             if value:
                 counter_total[name] = counter_total.get(name, 0) + value
-        merge_delta(metric_total, metric_delta)
+        timer = metric_delta["timers"]["roundtrip.size"]
+        timer_count += timer["count"]
+        timer_values.extend(timer["values"])
 
     # Exactly the children's own work: sum(1..3) checks, 10 pivots
     # each, and no trace of the parent's 100-unit pre-warm.
     assert counter_total["checks"] == 6
     assert counter_total["pivots"] == 30
     assert counter_total.get("solvers_constructed", 0) == 0
-    assert metric_total["counters"]["roundtrip.jobs"] == 6
 
-    timer = metric_total["timers"]["roundtrip.size"]
-    assert timer["count"] == 3
-    assert sorted(timer["values"]) == [0.0, 1.0, 2.0]
-    assert timer["max"] == 2.0
+    # Each child's timer delta holds only its own recording, never the
+    # parent's pre-warm 100.0.
+    assert timer_count == 3
+    assert sorted(timer_values) == [0.0, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("method", START_METHODS)

@@ -66,12 +66,14 @@ def test_traced_synthesis_replays_with_full_attribution(tmp_path):
 
 
 def test_tracer_restored_and_file_complete_after_exit(tmp_path):
-    from repro.obs.trace import NULL_TRACER, get_tracer
+    from repro.obs.trace import Tracer, get_tracer
 
+    default = get_tracer()
+    assert isinstance(default, Tracer) and default.trace_id == ""
     path = tmp_path / "t.jsonl"
     with install_file_tracer(path):
         synthesize(_motivating_pred(), {B1})
-    assert get_tracer() is NULL_TRACER
+    assert get_tracer() is default
     lines = path.read_text().splitlines()
     assert all(json.loads(line) for line in lines)
     assert json.loads(lines[0])["type"] == "meta"

@@ -3,9 +3,8 @@
 import io
 import json
 
-from repro.obs.clock import ManualClock
+from repro.obs.clock import ManualClock, set_clock
 from repro.obs.trace import (
-    NULL_TRACER,
     TRACE_VERSION,
     Tracer,
     get_tracer,
@@ -101,12 +100,45 @@ def test_non_scalar_attrs_are_coerced_to_repr():
     assert _spans(sink)["s"]["attrs"]["payload"] == "('a', 'b')"
 
 
-def test_null_tracer_is_inert_and_reusable():
-    span = NULL_TRACER.span("anything", counters=True, phase="learn")
-    with span as entered:
-        entered.set(ignored=1)
-    assert NULL_TRACER.enabled is False
-    NULL_TRACER.close()
+def test_default_tracer_measures_but_writes_and_snapshots_nothing():
+    tracer = get_tracer()
+    assert isinstance(tracer, Tracer)
+    assert tracer.trace_id == ""
+    assert tracer.smt_spans is False
+    # A clock installed after import still applies.
+    clock = ManualClock()
+    previous = set_clock(clock)
+    try:
+        with tracer.span("work", counters=True, phase="learn") as span:
+            clock.advance(0.25)
+            span.set(extra=1)
+    finally:
+        set_clock(previous)
+    assert (span.t1 - span.t0) * 1000.0 == 250.0
+    assert not any(key.startswith("ctr.") for key in span.attrs)
+    Tracer().close()  # a no-op without a sink
+
+
+def test_sinkless_tracer_never_calls_the_counter_source():
+    calls = []
+    tracer = Tracer(counter_source=lambda: calls.append(1) or {})
+    with tracer.span("s", counters=True):
+        pass
+    assert calls == []
+
+
+def test_outermost_phase_span_claims_its_subtree():
+    clock = ManualClock()
+    tracer = Tracer(clock=clock)
+    with tracer.span("root") as root:
+        with tracer.span("plain"):
+            with tracer.span("outer", phase="generate_samples"):
+                clock.advance(0.004)
+                with tracer.span("inner", phase="generate_samples"):
+                    clock.advance(0.002)
+        with tracer.span("learn", phase="learn"):
+            clock.advance(0.001)
+    assert root.phase_ms == {"generate_samples": 6.0, "learn": 1.0}
 
 
 def test_set_tracer_swaps_the_global():

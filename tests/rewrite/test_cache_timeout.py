@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core import SiaConfig, synthesize
+from repro.obs import Clock, set_clock
 from repro.predicates import Col, Column, Comparison, INTEGER, Lit, pand
 from repro.rewrite import RewriteCache
 from repro.sql import parse_query
@@ -61,6 +62,48 @@ def test_budget_covers_initial_sampling():
     assert outcome.iterations == 0
     assert outcome.status == "failed"
     assert outcome.predicate is None
+
+
+class StepClock(Clock):
+    """Advances 1 ms on every reading."""
+
+    def __init__(self) -> None:
+        self.readings = 0
+
+    def now(self) -> float:
+        self.readings += 1
+        return self.readings / 1000.0
+
+
+def test_budget_bounds_the_initial_samples_of_a_finite_domain():
+    """Whatever the budget, a finite TRUE domain is either enumerated
+    in full (optimal) or the cell ends timed out: a sample set cut
+    short by the deadline never counts as exhausted."""
+    pred = pand(
+        [
+            Comparison(Col(A1), ">=", Lit.integer(1)),
+            Comparison(Col(A1), "<=", Lit.integer(3)),
+            Comparison(Col(B1), "<", Lit.integer(5)),
+        ]
+    )
+    outcomes = []
+    for timeout_ms in range(1, 80):
+        previous = set_clock(StepClock())
+        try:
+            outcomes.append(
+                synthesize(pred, {A1}, SiaConfig(timeout_ms=timeout_ms, seed=0))
+            )
+        finally:
+            set_clock(previous)
+    for outcome in outcomes:
+        if outcome.timed_out:
+            assert outcome.status == "failed"
+            assert outcome.iterations == 0
+            assert outcome.predicate is None
+        else:
+            assert outcome.status == "optimal"
+    assert outcomes[0].timed_out
+    assert not outcomes[-1].timed_out
 
 
 def test_no_timeout_by_default():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FAILED, VALID, SiaConfig, SynthesisOutcome
+from repro.core.result import Timings
 from repro.engine import build_plan, execute
 from repro.predicates import Column, DATE, INTEGER, TRUE_PRED
 from repro.rewrite import (
@@ -166,7 +167,8 @@ def test_unsatisfiable_join_rewrite_keeps_join_conditions(catalog, schema):
 
 
 class _StubSynthesizer:
-    """Returns ``status`` for every subset; the l_shipdate subset hit its
+    """Returns ``status`` for every subset, each after 1/2/4 ms of
+    generation/learning/validation; the l_shipdate subset hit its
     synthesis timeout."""
 
     def __init__(self, status):
@@ -177,6 +179,9 @@ class _StubSynthesizer:
         return SynthesisOutcome(
             status=self.status,
             predicate=TRUE_PRED if self.status == VALID else None,
+            timings=Timings(
+                generation_ms=1.0, learning_ms=2.0, validation_ms=4.0
+            ),
             timed_out=column.name == "l_shipdate",
         )
 
@@ -189,3 +194,10 @@ def test_merged_outcome_reports_any_subset_timeout(schema, status):
     )
     assert result.outcome.status == status
     assert result.outcome.timed_out
+    # Every subset's synthesis time counts, valid or not.
+    subsets = 2  # {l_shipdate}, {l_commitdate}
+    assert result.outcome.timings == Timings(
+        generation_ms=1.0 * subsets,
+        learning_ms=2.0 * subsets,
+        validation_ms=4.0 * subsets,
+    )
