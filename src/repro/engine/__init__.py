@@ -5,8 +5,13 @@ substitution table): the mechanism Sia exploits -- pushing synthesized
 single-table predicates below the join -- is reproduced by
 :func:`build_plan`'s pushdown pass plus the hash-join executor whose
 cost scales with input cardinalities.
+
+Importing the package sets glibc's malloc thresholds once for the
+process (:mod:`.allocator`), so that executions reuse the heap their
+predecessors freed instead of faulting fresh pages in.
 """
 
+from .allocator import keep_freed_arrays_mapped
 from .catalog import Catalog
 from .executor import execute
 from .optimizer import build_plan, push_filter_below_aggregate, split_where
@@ -24,6 +29,8 @@ from .plan import (
 from .statistics import ColumnStats, TableStats, estimate_rows, estimate_selectivity
 from .stats import ExecutionStats, OperatorStats
 from .table import Relation, Table
+
+keep_freed_arrays_mapped()
 
 __all__ = [
     "Aggregate",

@@ -173,13 +173,8 @@ class Relation:
         return per_row * self.num_rows
 
 
-# Backwards-compatible alias for code that constructed relations from
-# (values, nulls) tuples directly.
-ColumnData = tuple[np.ndarray, np.ndarray | None]
-
-
 def relation_from_arrays(
-    data: dict[Column, ColumnData], num_rows: int
+    data: dict[Column, tuple[np.ndarray, np.ndarray | None]], num_rows: int
 ) -> Relation:
     """Build a relation from plain (values, nulls) pairs."""
     return Relation(
