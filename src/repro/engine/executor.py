@@ -4,11 +4,14 @@ All operators are vectorised numpy (no Python-level row loops). The
 equi-join matches unique integer build keys through a direct-address
 table over the build side's key span: one gather per probe row. Keys it
 cannot take -- non-integer, repeated on the build side, or a span wider
-than :data:`DENSE_SPAN_FACTOR` times the build side -- fall back to the
-sort-and-searchsorted idiom. Both give the same rows in the same order.
-A filter evaluates its conjuncts one at a time, each over the rows the
-earlier ones kept (:data:`SELECTION_FACTOR`). Every operator records
-rows-in/rows-out in :class:`ExecutionStats`.
+than :data:`DENSE_SPAN_FACTOR` times the build side -- fall back to one
+binary search per probe key into the sorted distinct build keys. Both
+give the same rows in the same order, and a probe side whose every row
+matches once is passed through without a gather. A filter evaluates its
+conjuncts one at a time, most selective on a sample first
+(:data:`FILTER_SAMPLE_ROWS`), each over the rows the earlier ones kept
+(:data:`SELECTION_FACTOR`). Aggregates and sorts follow SQL on NULLs.
+Every operator records rows-in/rows-out in :class:`ExecutionStats`.
 """
 
 from __future__ import annotations
@@ -105,13 +108,7 @@ def _run(plan: PlanNode, catalog: Catalog, stats: ExecutionStats) -> Relation:
     if isinstance(plan, Sort):
         child = _run(plan.child, catalog, stats)
         t0 = _now()
-        # np.lexsort sorts by the LAST key first: feed keys reversed.
-        arrays = []
-        for column, ascending in reversed(plan.keys):
-            values = child.column(column)
-            arrays.append(values if ascending else -values)
-        order = np.lexsort(arrays) if arrays else np.arange(child.num_rows)
-        out = child.take(order)
+        out = child.take(_sort_order(child, plan.keys))
         stats.record(
             "Sort", child.num_rows, out.num_rows, (_now() - t0) * 1000.0
         )
@@ -142,14 +139,27 @@ def _run(plan: PlanNode, catalog: Catalog, stats: ExecutionStats) -> Relation:
 SELECTION_FACTOR = 4
 
 
+#: A Filter with two or more top-level conjuncts over more than this
+#: many rows first evaluates each conjunct on a strided sample of this
+#: many rows, and then runs them fewest sampled TRUE rows first, ties in
+#: plan order.  Only the order changes: the result is the AND of all of
+#: them either way.  A sweep over the plan-cache shapes
+#: (docs/INTERNALS.md, "Engine filters") put it at 512.
+FILTER_SAMPLE_ROWS = 512
+
+
 def _filter(relation: Relation, predicate: Pred) -> Relation:
     """The rows of ``relation`` on which ``predicate`` is TRUE, in order.
 
-    Conjuncts run in plan order, each over the rows every earlier one
-    left TRUE (see :data:`SELECTION_FACTOR`).
+    Conjuncts run most selective first (see :data:`FILTER_SAMPLE_ROWS`),
+    each over the rows every earlier one left TRUE (see
+    :data:`SELECTION_FACTOR`).
     """
+    conjuncts = list(predicate.conjuncts())
+    if len(conjuncts) > 1 and relation.num_rows > FILTER_SAMPLE_ROWS:
+        conjuncts = _most_selective_first(relation, conjuncts)
     mask = None
-    for conjunct in predicate.conjuncts():
+    for conjunct in conjuncts:
         truth, _ = eval_pred_numpy(
             conjunct, relation.resolver(), relation.num_rows
         )
@@ -163,13 +173,28 @@ def _filter(relation: Relation, predicate: Pred) -> Relation:
     return relation if mask is None else relation.filter(mask)
 
 
+def _most_selective_first(relation: Relation, conjuncts: list[Pred]) -> list[Pred]:
+    """``conjuncts`` by their TRUE rows on a strided sample, fewest first;
+    a stable sort, so ties keep plan order."""
+    step = -(-relation.num_rows // FILTER_SAMPLE_ROWS)
+    sample = relation.take(np.arange(0, relation.num_rows, step))
+    passed = [
+        np.count_nonzero(
+            eval_pred_numpy(conjunct, sample.resolver(), sample.num_rows)[0]
+        )
+        for conjunct in conjuncts
+    ]
+    order = sorted(range(len(conjuncts)), key=passed.__getitem__)
+    return [conjuncts[i] for i in order]
+
+
 # ----------------------------------------------------------------------
 #: The dense equi-join path allocates one 8-byte slot per key in the
 #: build side's [min, max] span. It runs only when that span is at most
 #: this many times the build side's non-NULL keys: at 4, the table takes
 #: no more memory than a hash table of (key, row) pairs at load factor
-#: one half. Sparser, repeated or non-integer build keys take the
-#: sort-and-searchsorted path.
+#: one half. Sparser, repeated or non-integer build keys take the sorted
+#: path (:func:`_sorted_match`).
 DENSE_SPAN_FACTOR = 4
 
 _INT64 = np.iinfo(np.int64)
@@ -177,7 +202,9 @@ _INT64 = np.iinfo(np.int64)
 
 def _hash_join(left: Relation, right: Relation, node: HashJoin) -> Relation:
     """Inner equi-join; rows come out in probe order, and each probe
-    row's matches in build-row order (the stable-sort order)."""
+    row's matches in build-row order (the stable-sort order).  When every
+    probe row matches exactly one build row and no probe key is NULL,
+    the probe side is ``right`` itself, its lazy columns unchanged."""
     # Build on the smaller input (standard practice; also what makes a
     # pushed-down filter pay off on the probe side).
     if right.num_rows < left.num_rows:
@@ -196,9 +223,12 @@ def _hash_join(left: Relation, right: Relation, node: HashJoin) -> Relation:
 
     if build_valid is not None:
         build_rows = build_valid[build_rows]
-    if probe_valid is not None:
+    if probe_rows is None:  # every probe key matched one build row
+        probe_rows = probe_valid
+    elif probe_valid is not None:
         probe_rows = probe_valid[probe_rows]
-    return left.take(build_rows).merge(right.take(probe_rows))
+    probe = right if probe_rows is None else right.take(probe_rows)
+    return left.take(build_rows).merge(probe)
 
 
 def _valid_keys(
@@ -214,12 +244,13 @@ def _valid_keys(
 
 def _dense_match(
     build_keys: np.ndarray, probe_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Match through a direct-address table over the build key span.
 
-    Returns None when a key column is not integer, a build key repeats,
-    or the span is wider than :data:`DENSE_SPAN_FACTOR` times the build
-    keys.
+    Returns the matched build and probe positions, the probe positions
+    None when every probe key matched ("all, in order"); or None when a
+    key column is not integer, a build key repeats, or the span is
+    wider than :data:`DENSE_SPAN_FACTOR` times the build keys.
     """
     if not (_int64_safe(build_keys) and _int64_safe(probe_keys)):
         return None
@@ -246,7 +277,7 @@ def _dense_match(
     build_rows = slot_row[probe_slots]
     hit = build_rows >= 0
     if hit.all():
-        return build_rows, np.arange(len(probe_keys))
+        return build_rows, None
     probe_rows = np.flatnonzero(hit)
     return build_rows[probe_rows], probe_rows
 
@@ -257,61 +288,133 @@ def _int64_safe(keys: np.ndarray) -> bool:
 
 def _sorted_match(
     build_keys: np.ndarray, probe_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-and-searchsorted match, for keys the dense path cannot take."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sort-and-search match, for keys the dense path cannot take.
+
+    The stably sorted build keys fall into runs of equal keys; each
+    probe key takes one binary search into the runs' distinct keys.
+    Returns positions as :func:`_dense_match` does.
+    """
     order = np.argsort(build_keys, kind="stable")
     sorted_keys = build_keys[order]
-    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-    hi = np.searchsorted(sorted_keys, probe_keys, side="right")
-    counts = hi - lo
+    run_start = np.empty(len(sorted_keys), dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    distinct = sorted_keys[starts]
+    run = np.searchsorted(distinct, probe_keys)
+    np.minimum(run, len(distinct) - 1, out=run)
+    hit = distinct[run] == probe_keys
+    if len(starts) == len(sorted_keys):  # unique keys: runs of one row
+        if hit.all():
+            return order[run], None
+        probe_rows = np.flatnonzero(hit)
+        return order[run[probe_rows]], probe_rows
+    counts = np.diff(starts, append=len(sorted_keys))[run]
+    counts[~hit] = 0
     probe_rows = np.repeat(np.arange(len(probe_keys)), counts)
-    # Flattened [lo_i, hi_i) ranges without a Python loop.
+    # Flattened [start, start + count) ranges without a Python loop.
     offsets = np.cumsum(counts) - counts
     within = np.arange(len(probe_rows)) - offsets[probe_rows]
-    return order[lo[probe_rows] + within], probe_rows
+    return order[starts[run[probe_rows]] + within], probe_rows
 
 
 # ----------------------------------------------------------------------
-def _aggregate(child: Relation, node: Aggregate) -> Relation:
-    if node.group_by:
-        key_arrays = [child.column(col) for col in node.group_by]
-        keys = np.stack(key_arrays, axis=1) if key_arrays else None
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        group_count = len(uniq)
-    else:
-        inverse = np.zeros(child.num_rows, dtype=np.int64)
-        group_count = 1 if child.num_rows else 0
-        uniq = None
+def _sort_order(
+    child: Relation, keys: tuple[tuple[Column, bool], ...]
+) -> np.ndarray:
+    """Row order for ``ORDER BY keys``: stable, so ties keep input order.
 
+    A NULL sorts above every value, as in Postgres: last under ASC,
+    first under DESC.
+    """
+    # np.lexsort sorts by the LAST key first: feed keys reversed, each
+    # key's values before its NULL flag, which outranks them.
+    arrays = []
+    for column, ascending in reversed(keys):
+        values, nulls = child.values_and_nulls(column)
+        if nulls is not None:
+            values = np.where(nulls, 0, values)  # NULLs tie with each other
+        if not ascending:
+            # ~x = -x - 1 reverses integers without negation's overflow
+            # at the int64 minimum (and reverses unsigned ones at all).
+            values = ~values if values.dtype.kind in "iub" else -values
+        arrays.append(values)
+        if nulls is not None:
+            arrays.append(nulls if ascending else ~nulls)
+    return np.lexsort(arrays) if arrays else np.arange(child.num_rows)
+
+
+def _aggregate(child: Relation, node: Aggregate) -> Relation:
     data = {}
-    for i, col in enumerate(node.group_by):
-        data[col] = (uniq[:, i], None)
+    if node.group_by:
+        # Each key column becomes codes, the ranks of its values, so keys
+        # of different dtypes never meet in one array; a NULL takes the
+        # code after the last value: the NULLs form one group, last.
+        codes, distincts = [], []
+        for col in node.group_by:
+            values, nulls = child.values_and_nulls(col)
+            distinct, code = np.unique(values, return_inverse=True)
+            if nulls is not None:
+                code = np.where(nulls, len(distinct), code)
+            codes.append(code)
+            distincts.append(distinct)
+        uniq, inverse = np.unique(
+            np.stack(codes, axis=1), axis=0, return_inverse=True
+        )
+        group_count = len(uniq)
+        for col, distinct, code in zip(node.group_by, distincts, uniq.T):
+            nulls = code == len(distinct)
+            values = distinct[np.minimum(code, len(distinct) - 1)]
+            data[col] = (values, nulls if nulls.any() else None)
+    else:
+        # Without GROUP BY there is one group, also over no rows.
+        inverse = np.zeros(child.num_rows, dtype=np.int64)
+        group_count = 1
 
     from ..predicates import DOUBLE, INTEGER
 
     for spec in node.aggregates:
-        values = _apply_agg(spec, child, inverse, group_count)
         out_type = INTEGER if spec.func == "COUNT" else DOUBLE
         name = spec.func.lower() + ("" if spec.column is None else f"_{spec.column.name}")
-        data[Column("__agg__", name, out_type)] = (values, None)
+        data[Column("__agg__", name, out_type)] = _apply_agg(
+            spec, child, inverse, group_count
+        )
     return relation_from_arrays(data, group_count)
 
 
 def _apply_agg(
     spec: AggSpec, child: Relation, inverse: np.ndarray, groups: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One aggregate per group, as (values, NULL mask).
+
+    NULL inputs are skipped, as in SQL: ``COUNT(col)`` counts the
+    non-NULL values, and SUM, AVG, MIN and MAX are NULL over a group
+    that has none.
+    """
+    if spec.column is None:  # COUNT(*)
+        return np.bincount(inverse, minlength=groups).astype(np.int64), None
+    values, nulls = child.values_and_nulls(spec.column)
+    if nulls is not None:
+        known = ~nulls
+        values, inverse = values[known], inverse[known]
+    counts = np.bincount(inverse, minlength=groups)
     if spec.func == "COUNT":
-        return np.bincount(inverse, minlength=groups).astype(np.int64)
-    values = child.column(spec.column).astype(np.float64)
-    if spec.func == "SUM":
-        return np.bincount(inverse, weights=values, minlength=groups)
-    if spec.func == "AVG":
-        sums = np.bincount(inverse, weights=values, minlength=groups)
-        counts = np.bincount(inverse, minlength=groups)
-        return np.divide(sums, np.maximum(counts, 1))
-    out = np.full(groups, np.inf if spec.func == "MIN" else -np.inf)
-    if spec.func == "MIN":
-        np.minimum.at(out, inverse, values)
+        return counts.astype(np.int64), None
+    values = values.astype(np.float64)
+    if spec.func in ("SUM", "AVG"):
+        # (bincount of no values is int64, whatever the weights' dtype)
+        out = np.bincount(inverse, weights=values, minlength=groups).astype(
+            np.float64, copy=False
+        )
+        if spec.func == "AVG":
+            out /= np.maximum(counts, 1)
     else:
-        np.maximum.at(out, inverse, values)
-    return out
+        out = np.full(groups, np.inf if spec.func == "MIN" else -np.inf)
+        reduce = np.minimum if spec.func == "MIN" else np.maximum
+        reduce.at(out, inverse, values)
+    empty = counts == 0
+    if not empty.any():
+        return out, None
+    out[empty] = 0.0
+    return out, empty

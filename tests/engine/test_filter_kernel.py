@@ -1,7 +1,8 @@
 """The Filter kernel and the folded evaluator against exact references.
 
-`_filter` ANDs conjuncts into a mask and switches to a shrinking
-selection of row numbers once few rows survive; `eval_expr_numpy` folds
+`_filter` ANDs conjuncts into a mask, most selective on a sample
+first, and switches to a shrinking selection of row numbers once few
+rows survive; `eval_expr_numpy` folds
 integer-linear arithmetic into one accumulator.  Both must agree with
 the row-at-a-time `eval_pred_py` under three-valued logic, and the
 folded values must equal those of `reference_expr` -- the engine's
@@ -11,14 +12,21 @@ int64 wrap-around included.
 
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Catalog, Filter, Scan, Table, execute
-from repro.engine.executor import SELECTION_FACTOR, _filter
+from repro.engine import executor
+from repro.engine.executor import (
+    FILTER_SAMPLE_ROWS,
+    SELECTION_FACTOR,
+    _filter,
+    _most_selective_first,
+)
 from repro.engine.table import relation_from_arrays
 from repro.predicates import (
     DATE,
@@ -420,3 +428,117 @@ def test_filter_plan_node():
     relation, stats = execute(Filter(Scan("t"), pred), catalog)
     assert list(relation.column(ROW)) == [2, 4]
     assert (stats.operators[-1].rows_in, stats.operators[-1].rows_out) == (5, 2)
+
+
+# ----------------------------------------------------------------------
+# Most selective conjunct first
+# ----------------------------------------------------------------------
+@st.composite
+def sampled_relations(draw):
+    """A relation long enough for the Filter to sample, with NULLs in
+    x, y and z, sometimes read through a selection vector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(FILTER_SAMPLE_ROWS + 1, 3 * FILTER_SAMPLE_ROWS))
+    data = {ROW: (np.arange(n, dtype=np.int64), None)}
+    for column in INT_COLUMNS:
+        nulls = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+        data[column] = (rng.integers(-20, 21, size=n), nulls if nulls.any() else None)
+    relation = relation_from_arrays(data, n)
+    if draw(st.booleans()):
+        picks = rng.integers(0, n, size=draw(st.integers(FILTER_SAMPLE_ROWS + 1, 2 * n)))
+        relation = relation.take(np.sort(picks))
+    return relation
+
+
+# x - x <op> k: TRUE or FALSE on every row, NULL where x is NULL.
+cancelling = st.builds(
+    lambda column, op, k: Comparison(Arith("-", Col(column), Col(column)), op, Lit.integer(k)),
+    st.sampled_from(INT_COLUMNS),
+    st.sampled_from(OPS),
+    st.integers(-1, 1),
+)
+
+
+def true_rows(pred, relation):
+    return int(np.count_nonzero(eval_pred_numpy(pred, relation.resolver(), relation.num_rows)[0]))
+
+
+def sample_of(relation):
+    step = -(-relation.num_rows // FILTER_SAMPLE_ROWS)
+    return relation.take(np.arange(0, relation.num_rows, step))
+
+
+def plan_order_ids(relation, pred):
+    with mock.patch.object(executor, "FILTER_SAMPLE_ROWS", 2**62):
+        return filtered_row_ids(relation, pred)
+
+
+def full_length_conjuncts(relation, pred):
+    """The conjuncts ``_filter`` evaluates at the input's full length, in
+    the order it runs them, and the rows it keeps."""
+    calls = []
+    real = executor.eval_pred_numpy
+
+    def spy(conjunct, resolve, length):
+        if length == relation.num_rows:
+            calls.append(conjunct)
+        return real(conjunct, resolve, length)
+
+    with mock.patch.object(executor, "eval_pred_numpy", spy):
+        ids = filtered_row_ids(relation, pred)
+    return calls, ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sampled_relations(),
+    st.lists(st.one_of(comparisons(), cancelling, predicates(1)), min_size=2, max_size=5),
+)
+def test_sampled_order_keeps_plan_order_rows(relation, drawn):
+    conjuncts = list(pand(drawn).conjuncts())
+    assume(len(conjuncts) > 1)
+    # Plan order least selective first, so sampling mostly reorders.
+    exact = [true_rows(c, relation) for c in conjuncts]
+    plan = [conjuncts[i] for i in sorted(range(len(conjuncts)), key=lambda i: -exact[i])]
+    pred = pand(plan)
+
+    # Ranked by TRUE rows on the strided sample, ties in plan order.
+    sample = sample_of(relation)
+    counts = [true_rows(c, sample) for c in plan]
+    ranked = _most_selective_first(relation, plan)
+    assert ranked == [plan[i] for i in sorted(range(len(plan)), key=counts.__getitem__)]
+
+    ran, got = full_length_conjuncts(relation, pred)
+    assert ran[0] == ranked[0]
+    assert counts[plan.index(ran[0])] == min(counts)
+    assert got == plan_order_ids(relation, pred)
+    truth, _ = eval_pred_numpy(pred, relation.resolver(), relation.num_rows)
+    assert got == list(relation.column(ROW)[truth])
+
+
+def test_most_selective_conjunct_runs_first():
+    n = 4 * FILTER_SAMPLE_ROWS
+    x = np.arange(n, dtype=np.int64) % 50
+    x_nulls = np.arange(n) % 7 == 0
+    relation = int_relation(x, x_nulls, y=np.arange(n, dtype=np.int64) % 10)
+    known = IsNull(Col(X), negated=True)  # all rows but the NULLs
+    cancels = Comparison(Arith("-", Col(X), Col(X)), ">", Lit.integer(-1))  # same rows
+    rare = Comparison(Col(X), ">", Lit.integer(45))  # NULL where x is
+    some = Comparison(Col(Y), "<", Lit.integer(5))  # half the rows
+    plan = [known, cancels, some, rare]
+    pred = pand(plan)
+    assert _most_selective_first(relation, plan) == [rare, some, known, cancels]
+    ran, got = full_length_conjuncts(relation, pred)
+    assert ran[0] is rare
+    # The rows plan order keeps, in input order.
+    assert got == plan_order_ids(relation, pred)
+    assert got == [i for i in range(n) if not x_nulls[i] and x[i] > 45 and i % 10 < 5]
+
+
+def test_small_filters_keep_plan_order():
+    n = FILTER_SAMPLE_ROWS
+    relation = int_relation(list(range(n)), y=np.zeros(n, dtype=np.int64))
+    loose = Comparison(Col(Y), "=", Lit.integer(0))
+    tight = Comparison(Col(X), "<", Lit.integer(3))
+    ran, got = full_length_conjuncts(relation, pand([loose, tight]))
+    assert ran == [loose, tight] and got == [0, 1, 2]

@@ -5,7 +5,8 @@ substance: argsort the build keys stably, binary-search every probe key
 twice and expand the [lo, hi) ranges.  `_hash_join` must return the
 same rows in the same order for every input, whichever of its paths
 (direct-address for unique integer build keys, or the sorted
-fallback) runs.
+fallback with one binary search per probe key) runs, and a probe side
+whose every row matches once must come through without a gather.
 """
 
 import numpy as np
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import HashJoin, Scan
-from repro.engine.executor import DENSE_SPAN_FACTOR, _dense_match, _hash_join
+from repro.engine.executor import (
+    DENSE_SPAN_FACTOR,
+    _dense_match,
+    _hash_join,
+    _sorted_match,
+)
 from repro.engine.table import relation_from_arrays
 from repro.predicates import Column, INTEGER
 
@@ -137,6 +143,111 @@ def join_inputs(draw):
 def test_join_matches_sorted_reference(inputs):
     left, right = inputs
     assert_same_join(left, right)
+
+
+# ----------------------------------------------------------------------
+# Each path forced
+# ----------------------------------------------------------------------
+BUILDS = ("dense_unique", "sparse_unique", "sparse_repeated", "dense_repeated")
+PROBES = ("all_match", "all_match_null_probe", "mixed")
+
+
+@st.composite
+def forced_path_inputs(draw):
+    """A build side of a chosen key layout (the smaller input, so it is
+    not swapped) and a probe side that matches all or some of it."""
+    build_kind = draw(st.sampled_from(BUILDS))
+    probe_kind = draw(st.sampled_from(PROBES))
+    sparse = build_kind.startswith("sparse")
+    kind = draw(st.sampled_from(["int64", "int32", "float64"] if sparse else ["int64", "int32"]))
+    n_build = draw(st.integers(2, 20))
+    n_probe = draw(st.integers(n_build, 40))
+    # A stride past the cutoff spreads any two distinct keys too far
+    # apart for the direct-address table.
+    stride = 2 * DENSE_SPAN_FACTOR + 1 if sparse else 1
+    base = draw(st.integers(-(10**6), 10**6))
+    if build_kind.endswith("unique"):
+        offsets = draw(st.permutations(range(n_build)))
+    else:
+        some = draw(
+            st.lists(st.integers(0, n_build - 1), min_size=n_build - 1, max_size=n_build - 1)
+        )
+        offsets = draw(st.permutations(some + [draw(st.sampled_from(some))]))
+    build = (np.array(offsets, dtype=np.int64) * stride + base).astype(kind)
+    if probe_kind == "mixed":
+        # Offsets the build side lacks, and those beyond it, miss.
+        probe = np.array(
+            draw(st.lists(st.integers(-2, n_build + 2), min_size=n_probe, max_size=n_probe)),
+            dtype=np.int64,
+        ) * stride + base
+        probe = probe.astype(kind)
+    else:
+        picks = draw(st.lists(st.integers(0, n_build - 1), min_size=n_probe, max_size=n_probe))
+        probe = build[np.array(picks)]
+    probe_nulls = None
+    if probe_kind == "all_match_null_probe":
+        probe_nulls = np.array(
+            draw(st.lists(st.booleans(), min_size=n_probe, max_size=n_probe)), dtype=bool
+        )
+        probe_nulls[draw(st.integers(0, n_probe - 1))] = True
+    elif probe_kind == "mixed" and draw(st.booleans()):
+        probe_nulls = np.array(
+            draw(st.lists(st.booleans(), min_size=n_probe, max_size=n_probe)), dtype=bool
+        )
+    # NULL build keys would move the path; the test above covers them.
+    left = relation(L_KEY, L_ROW, build, None)
+    right = relation(R_KEY, R_ROW, probe, probe_nulls)
+    return build_kind, probe_kind, left, right
+
+
+def valid_keys(relation, key):
+    values, nulls = relation.values_and_nulls(key)
+    return values if nulls is None else values[~nulls]
+
+
+@settings(max_examples=400, deadline=None)
+@given(forced_path_inputs())
+def test_each_join_path_matches_sorted_reference(inputs):
+    build_kind, probe_kind, left, right = inputs
+    build_keys, probe_keys = left.column(L_KEY), valid_keys(right, R_KEY)
+    unique = build_kind.endswith("unique")
+    # A "mixed" probe may still match every key by chance.
+    all_match = bool(np.isin(probe_keys, build_keys).all())
+    assert all_match or probe_kind == "mixed"
+    dense = _dense_match(build_keys, probe_keys)
+    assert (dense is not None) == (build_kind == "dense_unique")
+    if dense is None and unique and len(probe_keys):
+        # Unique keys: one position per probe key, None when all match.
+        _, probe_rows = _sorted_match(build_keys, probe_keys)
+        assert (probe_rows is None) == all_match
+    assert_same_join(left, right)
+    got = _hash_join(left, right, NODE)
+    passed_through = all(got.data[c] is right.data[c] for c in right.data)
+    assert passed_through == (
+        unique and all_match and right.null_mask(R_KEY) is None
+    )
+    if probe_kind == "all_match_null_probe" and unique:
+        # The NULL-keyed probe rows go and every other row stays.
+        assert got.num_rows == len(probe_keys) < right.num_rows
+
+
+def test_empty_and_all_null_inputs():
+    keys = np.array([4, 1, 3], dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    all_null = np.ones(3, dtype=bool)
+    cases = [
+        (empty, None, empty, None),
+        (empty, None, keys, None),
+        (keys, None, empty, None),
+        (keys, all_null, keys, None),
+        (keys, None, keys, all_null),
+        (keys.astype(np.float64), all_null, keys.astype(np.float64), None),
+    ]
+    for build, build_nulls, probe, probe_nulls in cases:
+        left = relation(L_KEY, L_ROW, build, build_nulls)
+        right = relation(R_KEY, R_ROW, probe, probe_nulls)
+        assert_same_join(left, right)
+        assert _hash_join(left, right, NODE).num_rows == 0
 
 
 def test_both_paths_are_reachable():

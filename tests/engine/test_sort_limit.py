@@ -72,3 +72,18 @@ def test_sort_preserves_row_alignment(catalog):
     # Each (k, v) pair must be one of the original rows.
     original = {(3, 0.5), (1, 0.1), (2, 0.9), (1, 0.7), (3, 0.2)}
     assert set(pairs) == original
+
+
+def test_sort_descending_at_the_integer_limits():
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    catalog = Catalog()
+    catalog.register(
+        Table(
+            "w",
+            {"k": INTEGER},
+            {"k": np.array([0, low, high, -1, low + 1], dtype=np.int64)},
+        )
+    )
+    key = Column("w", "k", INTEGER)
+    rel, _ = execute(Sort(Scan("w"), ((key, False),)), catalog)
+    assert rel.column(key).tolist() == [high, 0, -1, low + 1, low]
