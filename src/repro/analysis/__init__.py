@@ -1,28 +1,21 @@
-"""Static analysis subsystem: invariant checker + soundness linter.
+"""Analysis subsystem: the executable soundness oracles.
 
-Machine-checks the invariants the SMT/rewrite stack depends on but the
-type system cannot see (docs/INTERNALS.md, "Invariants & static
-analysis"):
+Two passes over the rewrite-rule registry, both run through the repo's
+own solver rather than over source text (docs/INTERNALS.md, "Soundness
+oracles"):
 
-* exact-arithmetic purity of ``repro/smt/`` and ``repro/predicates/``,
-* frozen-node discipline of the IR,
-* structural well-formedness of live formula/predicate trees,
-* null-soundness of every registered rewrite rule, discharged through
-  the repo's own solver,
+* null-soundness of every registered rewrite rule under SQL
+  three-valued logic (SIA201-202, :mod:`repro.analysis.soundness`),
 * certified UNSAT: independent replay of solver proof logs
-  (``--certify``), so no UNSAT verdict has to be taken on trust.
+  (``--certify``, SIA301-303, :mod:`repro.analysis.certify`), so no
+  UNSAT verdict has to be taken on trust.
 
-CLI: ``python -m repro analyze [--json] [--fix-hints] [--certify]
-[paths...]``.
+CLI: ``python -m repro analyze [--json] [--certify]``.
 """
 
 from .certify import audit_proof
 from .findings import Finding, RULE_CATALOG, RuleInfo
-from .invariants import check_formula, check_pred
-from .lint import lint_file, lint_paths, lint_source, zone_of
-from .pragmas import extract_pragmas
 from .runner import (
-    AnalysisError,
     AnalysisReport,
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -35,7 +28,6 @@ from .runner import (
 from .soundness import SoundnessReport, check_registry, check_rule
 
 __all__ = [
-    "AnalysisError",
     "AnalysisReport",
     "EXIT_CLEAN",
     "EXIT_FINDINGS",
@@ -46,16 +38,9 @@ __all__ = [
     "SoundnessReport",
     "audit_proof",
     "certify_registry",
-    "check_formula",
-    "check_pred",
     "check_registry",
     "check_rule",
-    "extract_pragmas",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "render_json",
     "render_text",
     "run_analysis",
-    "zone_of",
 ]

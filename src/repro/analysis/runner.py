@@ -1,17 +1,14 @@
 """Orchestration of the analysis passes and report rendering.
 
-``run_analysis`` composes these passes:
+``run_analysis`` composes two executable oracles over the rewrite-rule
+registry:
 
-1. the AST lint pass over the given paths (:mod:`repro.analysis.lint`),
-2. the structural invariant pass over every registered rewrite rule's
-   predicate trees and their 3VL encodings
-   (:mod:`repro.analysis.invariants`),
-3. the null-soundness pass discharging each rule's obligation through
-   the SMT solver (:mod:`repro.analysis.soundness`),
-4. (opt-in, ``certify=True``) the proof-certification pass: every
+1. the null-soundness pass, discharging each rule's obligation through
+   the SMT solver (:mod:`repro.analysis.soundness`, SIA201-202);
+2. (opt-in, ``certify=True``) the proof-certification pass: every
    registry obligation is re-run with ``Solver(proof=True)`` and the
    resulting proof log is replayed by the independent auditor
-   (:mod:`repro.analysis.certify`).
+   (:mod:`repro.analysis.certify`, SIA301-303).
 
 Findings are data (:class:`repro.analysis.findings.Finding`); this
 module only aggregates and renders them, as human-readable text or as
@@ -22,10 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .findings import Finding
-from .lint import lint_paths
 from .soundness import check_registry
 
 EXIT_CLEAN = 0
@@ -35,16 +30,11 @@ EXIT_INTERNAL_ERROR = 2
 JSON_SCHEMA_VERSION = 1
 
 
-class AnalysisError(Exception):
-    """Internal analyzer failure (bad paths, unparsable input, ...)."""
-
-
 @dataclass
 class AnalysisReport:
     """Aggregated outcome of one ``repro analyze`` run."""
 
     findings: list[Finding] = field(default_factory=list)
-    files_linted: int = 0
     rules_checked: int = 0
     obligations_discharged: int = 0
     proofs_audited: int = 0
@@ -65,7 +55,6 @@ class AnalysisReport:
             "version": JSON_SCHEMA_VERSION,
             "clean": self.clean,
             "summary": {
-                "files_linted": self.files_linted,
                 "rules_checked": self.rules_checked,
                 "obligations_discharged": self.obligations_discharged,
                 "proofs_audited": self.proofs_audited,
@@ -76,42 +65,22 @@ class AnalysisReport:
         }
 
 
-def run_analysis(
-    paths: list[str] | None = None,
-    *,
-    domain: bool = True,
-    certify: bool = False,
-) -> AnalysisReport:
-    """Run the configured passes and return the aggregated report.
+def run_analysis(*, certify: bool = False) -> AnalysisReport:
+    """Verify the rewrite-rule registry and return the report.
 
-    ``paths`` feeds the lint pass (default: ``src``).  The domain
-    passes (invariants + soundness over the rewrite-rule registry) are
-    path-independent; disable them with ``domain=False`` when linting
-    fixture trees.  ``certify=True`` additionally re-runs every
-    registry obligation with proof logging on and audits the logs.
+    ``certify=True`` additionally re-runs every registry obligation
+    with proof logging on and audits the logs.
     """
     report = AnalysisReport()
-    resolved: list[Path] = []
-    for raw in paths or ["src"]:
-        path = Path(raw)
-        if not path.exists():
-            raise AnalysisError(f"no such file or directory: {raw}")
-        resolved.append(path)
-    findings, files = lint_paths(resolved)
-    report.findings.extend(findings)
-    report.files_linted = files
-    if domain:
-        soundness = check_registry()
-        report.findings.extend(soundness.findings)
-        report.rules_checked = soundness.rules_checked
-        report.obligations_discharged = soundness.obligations_discharged
+    soundness = check_registry()
+    report.findings.extend(soundness.findings)
+    report.rules_checked = soundness.rules_checked
+    report.obligations_discharged = soundness.obligations_discharged
     if certify:
         findings, audited = certify_registry()
         report.findings.extend(findings)
         report.proofs_audited = audited
-    # De-duplicate: overlapping inputs ("src src/repro") or passes
-    # re-reporting the same (file, line, rule) must count once.
-    report.findings = sorted(dict.fromkeys(report.findings))
+    report.findings.sort()
     return report
 
 
@@ -161,13 +130,10 @@ def certify_registry(
     return findings, audited
 
 
-def render_text(report: AnalysisReport, *, fix_hints: bool = False) -> str:
+def render_text(report: AnalysisReport) -> str:
     """Human-readable rendering (one line per finding + a summary)."""
-    lines = [
-        finding.render(fix_hints=fix_hints) for finding in report.findings
-    ]
+    lines = [finding.render() for finding in report.findings]
     summary = (
-        f"analyzed {report.files_linted} file(s), "
         f"verified {report.rules_checked} rewrite rule(s) "
         f"({report.obligations_discharged} solver obligation(s)"
         + (

@@ -15,11 +15,6 @@ unsatisfiability, exactly as the synthesis-time validity check in
 reverse direction is checked as well.  This makes the analyzer double
 as a regression harness for the solver: a soundness bug in the simplex
 or branch-and-bound path shows up here as a spurious SIA201/SIA202.
-
-The structural invariants of every formula the encoding produces
-(including their negation-normal forms) are re-checked along the way,
-so a single ``repro analyze`` run exercises the predicate IR, the 3VL
-encoding, the NNF machinery and the solver end to end.
 """
 
 from __future__ import annotations
@@ -29,11 +24,10 @@ from dataclasses import dataclass, field
 from ..predicates import truth_formula
 from ..predicates.normalize import LinearizationContext
 from ..rewrite.rules import REWRITE_RULES, RewriteRule
-from ..smt import SolverError, conj, is_satisfiable, negate, to_nnf
+from ..smt import SolverError, conj, is_satisfiable, negate
 from ..smt.formula import Formula
 from ..smt.theory import SolverBudgetError
 from .findings import Finding
-from .invariants import check_formula, check_pred
 
 
 @dataclass
@@ -62,23 +56,13 @@ def _implication_holds(
 
 
 def check_rule(rule: RewriteRule, *, bnb_budget: int = 4000) -> list[Finding]:
-    """All findings for one rewrite rule (structure + soundness)."""
+    """The soundness findings for one rewrite rule."""
     findings: list[Finding] = []
-    findings += check_pred(rule.lhs, _origin(rule, "lhs"))
-    findings += check_pred(rule.rhs, _origin(rule, "rhs"))
-
     # One shared context so both sides see identical column variables
     # and NULL flags.
     ctx = LinearizationContext.for_predicate(rule.lhs & rule.rhs)
     t_lhs = truth_formula(rule.lhs, ctx)
     t_rhs = truth_formula(rule.rhs, ctx)
-    for formula, part in (
-        (t_lhs, "T(lhs)"),
-        (t_rhs, "T(rhs)"),
-        (to_nnf(negate(t_rhs)), "nnf(~T(rhs))"),
-    ):
-        findings += check_formula(formula, _origin(rule, part))
-
     forward = _implication_holds(t_lhs, t_rhs, bnb_budget=bnb_budget)
     if forward is not True:
         detail = (

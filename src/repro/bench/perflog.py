@@ -49,7 +49,6 @@ def summarize_times(times_ms: list[float]) -> dict:
     if len(times_ms) == 1:
         p95 = times_ms[0]
     else:
-        # sia: allow(SIA001) -- timing summary, not solver arithmetic
         p95 = quantiles(times_ms, n=20)[-1]
     return {
         "median_ms": round(median(times_ms), 4),

@@ -221,30 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="run the invariant checker + soundness linter "
+        help="verify every rewrite rule is null-sound through the solver "
         "(exit 0 clean / 1 findings / 2 internal error)",
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
     )
     analyze.add_argument(
         "--json",
         action="store_true",
         dest="as_json",
         help="emit findings as JSON for CI annotations",
-    )
-    analyze.add_argument(
-        "--fix-hints",
-        action="store_true",
-        help="append a remediation hint to each finding",
-    )
-    analyze.add_argument(
-        "--skip-domain",
-        action="store_true",
-        help="lint only; skip the rewrite-rule soundness pass",
     )
     analyze.add_argument(
         "--certify",
@@ -284,7 +268,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import (
-        AnalysisError,
         EXIT_INTERNAL_ERROR,
         render_json,
         render_text,
@@ -292,14 +275,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     try:
-        report = run_analysis(
-            args.paths,
-            domain=not args.skip_domain,
-            certify=args.certify,
-        )
-    except AnalysisError as exc:
-        print(f"analyze: error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+        report = run_analysis(certify=args.certify)
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         print(f"analyze: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
@@ -307,7 +283,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.as_json:
             print(render_json(report))
         else:
-            print(render_text(report, fix_hints=args.fix_hints))
+            print(render_text(report))
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; the findings it
         # did read are valid, so keep the exit-code contract.  Point

@@ -32,9 +32,9 @@ def rationalize_weights(
     downstream integer theory solving needlessly expensive.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    # sia: allow-float -- documented learn-boundary crossing: this is
-    # the last float read before the continued-fraction rounding below
-    # converts everything to exact integers.
+    # The learn-boundary crossing (DESIGN.md): this is the last float
+    # read before the continued-fraction rounding below converts
+    # everything to exact integers.
     magnitude = float(np.max(np.abs(weights))) if weights.size else 0.0
     if magnitude <= 0.0:
         # Degenerate direction: only the bias remains; its sign is all

@@ -193,8 +193,8 @@ def train_linear_svm(
                 break
 
     weights = np.array(w[:dim]) / scale
-    # sia: allow-float -- documented learn-boundary crossing: the SVM is
-    # float-native; rationalize_weights() restores exactness before the
-    # hyperplane re-enters the SMT pipeline.
+    # The learn-boundary crossing (DESIGN.md): the SVM is float-native;
+    # rationalize_weights() restores exactness before the hyperplane
+    # re-enters the SMT pipeline.
     bias = float(w[dim] * BIAS_SCALE)
     return SvmModel(weights, bias)

@@ -3,7 +3,7 @@
 A zero-dependency substrate the whole stack reports through:
 
 * :mod:`repro.obs.clock` -- the injectable monotonic clock every
-  duration in the repo is measured on (lint rule SIA010 pins this);
+  duration in the repo is measured on;
 * :mod:`repro.obs.trace` -- context-manager spans that always measure
   (CEGIS stage times come from them) and are written as JSONL only
   when a tracer with a sink is installed, with per-span attributes

@@ -1,9 +1,9 @@
 """The injectable monotonic clock: the single sanctioned time source.
 
 Every duration measured anywhere in :mod:`repro` flows through this
-module (lint rule SIA010 rejects direct ``time.time()`` /
-``time.perf_counter()`` calls outside ``obs/clock.py``), for two
-reasons:
+module, never through ``time.time()`` / ``time.perf_counter()``
+directly (the deadline tests drive synthesis on a
+:class:`ManualClock` and fail on a direct read), for two reasons:
 
 * **Deterministic traces in tests.**  Swapping in a
   :class:`ManualClock` makes span durations exact -- and with them the

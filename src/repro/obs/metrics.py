@@ -12,7 +12,7 @@ work and ``delta_since()`` after give that work's timers as pure JSON
 (``{"timers": {name: {"count", "total", "values", "max"}}}``).
 
 Everything here is plain ints/floats on purpose: metrics never touch
-solver arithmetic, so SIA001's exact-zone rules do not apply.
+solver arithmetic.
 """
 
 from __future__ import annotations

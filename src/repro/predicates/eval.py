@@ -218,10 +218,10 @@ def eval_expr_numpy(expr: Expr, resolve: Resolver, length: int):
         if isinstance(bad, np.ndarray):
             # Division by zero yields SQL NULL; the 0.0 placeholder is
             # masked by the null flags and never reaches the solver.
-            values = np.where(bad, 0.0, values)  # sia: allow-float
+            values = np.where(bad, 0.0, values)
             nulls = _or_nulls(nulls, bad)
         elif bad:  # scalar division by zero
-            values = 0.0  # sia: allow-float -- masked by nulls below
+            values = 0.0  # masked by nulls below
             nulls = np.ones(length, dtype=bool)
         return values, nulls
     raise UnsupportedPredicateError(f"cannot evaluate {expr!r}")
@@ -328,9 +328,9 @@ def _encode_literal_epoch(lit: Lit):
         return dates.timestamp_to_seconds(lit.value)
     value = lit.value
     if isinstance(value, Fraction):
-        # sia: allow-float -- vectorised engine evaluation boundary:
-        # numpy execution is float-native; the exact pipeline never
-        # reads these values back.
+        # The vectorised engine evaluation boundary: numpy execution
+        # is float-native; the exact pipeline never reads these values
+        # back.
         return int(value) if value.denominator == 1 else float(value)
     return value
 
@@ -405,8 +405,8 @@ def _compare_numpy(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def selectivity(pred: Pred, resolve: Resolver, length: int) -> float:
     """Fraction of tuples a predicate accepts (TRUE under 3VL)."""
     if length == 0:
-        return 1.0  # sia: allow-float -- statistics output, not solver input
+        return 1.0  # a statistic, not solver input
     truth, _ = eval_pred_numpy(pred, resolve, length)
-    # sia: allow-float -- selectivity is a statistic consumed by the
-    # optimizer, outside the exact verification path
+    # Selectivity is a statistic consumed by the optimizer, outside
+    # the exact verification path.
     return float(np.count_nonzero(truth)) / float(length)

@@ -93,7 +93,7 @@ class Expr:
         return Arith("/", self, other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Col(Expr):
     """A column occurrence in an expression."""
 
@@ -107,7 +107,7 @@ class Col(Expr):
         return self.column.qualified
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(Expr):
     """A literal constant.
 
@@ -159,7 +159,7 @@ class Lit(Expr):
 _ARITH_OPS = ("+", "-", "*", "/")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith(Expr):
     """A binary arithmetic expression with SQL date-aware typing."""
 
@@ -243,6 +243,13 @@ class _PConst(Pred):
     def __init__(self, value: bool) -> None:
         object.__setattr__(self, "value", value)
 
+    def __setattr__(self, *a: object) -> None:
+        raise AttributeError("predicates are immutable")
+
+    def __reduce__(self) -> str:
+        # Copies and unpickled constants are the module's singletons.
+        return "TRUE_PRED" if self.value else "FALSE_PRED"
+
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
 
@@ -251,7 +258,7 @@ TRUE_PRED = _PConst(True)
 FALSE_PRED = _PConst(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison(Pred):
     """``left op right`` with op in ``< <= > >= = != <>``."""
 
@@ -279,6 +286,12 @@ class _PNAry(Pred):
     def __init__(self, args: tuple[Pred, ...]) -> None:
         object.__setattr__(self, "args", tuple(args))
 
+    def __setattr__(self, *a: object) -> None:
+        raise AttributeError("predicates are immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.args,))
+
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.args == other.args
 
@@ -304,7 +317,7 @@ class POr(_PNAry):
         return "(" + " OR ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PNot(Pred):
     arg: Pred
 
@@ -312,7 +325,7 @@ class PNot(Pred):
         return f"NOT ({self.arg!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNull(Pred):
     """``expr IS [NOT] NULL`` -- used by the engine, not by synthesis."""
 

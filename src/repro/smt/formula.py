@@ -80,7 +80,7 @@ class _Const(Formula):
     def __init__(self, value: bool) -> None:
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a: object) -> None:  # pragma: no cover
+    def __setattr__(self, *a: object) -> None:
         raise AttributeError("constant formulas are immutable")
 
     def __repr__(self) -> str:
@@ -134,7 +134,7 @@ class Atom(Formula):
         # negation memo is not part of the value and is not pickled.
         return (Atom, (self.expr, self.op))
 
-    def __setattr__(self, *a: object) -> None:  # pragma: no cover
+    def __setattr__(self, *a: object) -> None:
         raise AttributeError("formulas are immutable")
 
     def __eq__(self, other: object) -> bool:
@@ -160,11 +160,11 @@ class Atom(Formula):
             neg = Atom(-self.expr, LE)
         else:
             neg = Atom(self.expr, _NEGATED_OP[self.op])
-        # sia: allow-mutation -- a weak memo slot, not part of the value:
-        # it is written only while empty or dead, and always to the
-        # complement that interning would return anyway.
+        # A weak memo slot, not part of the value: it is written only
+        # while empty or dead, and always to the complement that
+        # interning would return anyway.
         object.__setattr__(self, "_neg", weakref.ref(neg))
-        # sia: allow-mutation -- the same memo, seen from the complement.
+        # The same memo, seen from the complement.
         object.__setattr__(neg, "_neg", weakref.ref(self))
         return neg
 
@@ -186,6 +186,8 @@ class Atom(Formula):
 class BVar(Formula):
     """A propositional variable."""
 
+    __slots__ = ("name", "__weakref__")
+
     name: str
 
     _intern: ClassVar["weakref.WeakValueDictionary[str, BVar]"] = (
@@ -200,8 +202,9 @@ class BVar(Formula):
         cls._intern[name] = self
         return self
 
-    def __getnewargs__(self) -> tuple[str]:
-        return (self.name,)
+    def __reduce__(self) -> tuple[type["BVar"], tuple[str]]:
+        # Unpickled variables re-enter the intern table via __new__.
+        return (BVar, (self.name,))
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -209,6 +212,8 @@ class BVar(Formula):
 
 @dataclass(frozen=True)
 class Not(Formula):
+    __slots__ = ("arg", "__weakref__")
+
     arg: Formula
 
     _intern: ClassVar["weakref.WeakValueDictionary[Formula, Not]"] = (
@@ -223,8 +228,8 @@ class Not(Formula):
         cls._intern[arg] = self
         return self
 
-    def __getnewargs__(self) -> tuple[Formula]:
-        return (self.arg,)
+    def __reduce__(self) -> tuple[type["Not"], tuple[Formula]]:
+        return (Not, (self.arg,))
 
     def __repr__(self) -> str:
         return f"~{self.arg!r}"
@@ -257,7 +262,7 @@ class _NAry(Formula):
     def __reduce__(self):
         return (type(self), (self.args,))
 
-    def __setattr__(self, *a: object) -> None:  # pragma: no cover
+    def __setattr__(self, *a: object) -> None:
         raise AttributeError("formulas are immutable")
 
     def __eq__(self, other: object) -> bool:

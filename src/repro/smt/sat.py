@@ -40,10 +40,10 @@ class SatSolver:
         # VSIDS activity scores are a branching *heuristic*: they pick
         # decision order and never touch theory arithmetic, so floats
         # are sound here (any drift only changes the search path).
-        self.activity: list[float] = [0.0]  # sia: allow-float
+        self.activity: list[float] = [0.0]
         self.phase: list[bool] = [False]
-        self.var_inc = 1.0  # sia: allow-float
-        self.var_decay = 0.95  # sia: allow-float
+        self.var_inc = 1.0
+        self.var_decay = 0.95
         self.ok = True
         self.conflicts = 0
         # Optional proof logging (set by the DPLL(T) driver).  Every
@@ -70,7 +70,7 @@ class SatSolver:
         self.assign.append(UNASSIGNED)
         self.level.append(0)
         self.reason.append(None)
-        self.activity.append(0.0)  # sia: allow-float -- VSIDS heuristic
+        self.activity.append(0.0)
         self.phase.append(False)
         self.active_vars.append(self.num_vars)
         return self.num_vars
@@ -250,13 +250,13 @@ class SatSolver:
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------
     def _bump(self, var: int) -> None:
-        # sia: allow-float -- VSIDS activity rescale (branching
-        # heuristic only; see __init__)
+        # VSIDS activity rescale (a branching heuristic only; see
+        # __init__).
         self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:  # sia: allow-float
+        if self.activity[var] > 1e100:
             for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100  # sia: allow-float
-            self.var_inc *= 1e-100  # sia: allow-float
+                self.activity[v] *= 1e-100
+            self.var_inc *= 1e-100
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """Returns (learnt clause, backjump level)."""
@@ -313,7 +313,7 @@ class SatSolver:
     # ------------------------------------------------------------------
     def _pick_branch(self) -> int:
         best_var = 0
-        best_act = -1.0  # sia: allow-float -- VSIDS heuristic
+        best_act = -1.0  # VSIDS heuristic
         assign = self.assign
         activity = self.activity
         for var in self.active_vars:

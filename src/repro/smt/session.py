@@ -342,8 +342,6 @@ class SmtSession:
                 return verdict
         finally:
             GLOBAL_METRICS.timer("smt.session_check_ms").record(
-                # int literal: the ms conversion must not trip the
-                # exact-zone float audit (test_float_purity whitelist)
                 (_clock_now() - start) * 1000
             )
             if transient:
@@ -353,7 +351,7 @@ class SmtSession:
         """Model of the last satisfiable :meth:`check`."""
         # Delegating accessor: the wrapped solver enforces the
         # checked-verdict contract and raises on a stale read.
-        return self._solver.model()  # sia: allow(SIA008)
+        return self._solver.model()
 
     # ------------------------------------------------------------------
     # Teardown

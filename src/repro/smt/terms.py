@@ -205,7 +205,7 @@ class LinExpr:
         # Unpickled expressions re-enter the intern table via __new__.
         return (LinExpr, (self.coeffs, self.const))
 
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LinExpr is immutable")
 
     # ------------------------------------------------------------------
@@ -273,11 +273,11 @@ class LinExpr:
             if neg is not None:
                 return neg
         neg = LinExpr({v: -c for v, c in self.coeffs.items()}, -self.const)
-        # sia: allow-mutation -- a weak memo slot, not part of the value:
-        # it is written only while empty or dead, and always to the
-        # complement that interning would return anyway.
+        # A weak memo slot, not part of the value: it is written only
+        # while empty or dead, and always to the complement that
+        # interning would return anyway.
         object.__setattr__(self, "_neg", weakref.ref(neg))
-        # sia: allow-mutation -- the same memo, seen from the complement.
+        # The same memo, seen from the complement.
         object.__setattr__(neg, "_neg", weakref.ref(self))
         return neg
 

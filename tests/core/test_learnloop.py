@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core import SIA_DEFAULT, learn
@@ -107,6 +108,18 @@ def test_identical_true_false_points_forced_plane():
     fs = pts([5])
     predicate = run_learn(ts, fs)
     assert predicate.accepts({X: Fraction(5)})
+
+
+def test_forced_plane_is_an_exact_solver_object():
+    """The fallback plane over two columns re-enters the solver: its
+    coefficients are ints, never the floats the SVM direction starts
+    from, and its formula holds on every TRUE sample."""
+    ts = pts2([(1, 2), (3, 1), (2, 2)])
+    fs = pts2([(0, 0), (1, 0)])
+    plane = _forced_plane(ts, fs, [X, Y], np.array([0.7, 0.3]))
+    assert all(type(weight) is int for _, weight in plane.coeffs)
+    formula = plane.formula()
+    assert all(formula.evaluate(point) for point in ts)
 
 
 def svm_plane_1d(ts, fs, seed):

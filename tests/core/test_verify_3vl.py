@@ -138,6 +138,34 @@ def test_learned_truth_formula_is_disjunction_of_plane_truths():
     )
 
 
+def test_warm_verifier_runs_every_candidate_on_one_solver():
+    """``Verify`` keeps one warm solver across CEGIS iterations: each
+    candidate is a scope pushed on the session, never a fresh
+    ``Solver``."""
+    pred = pand(
+        [
+            Comparison(Col(A), ">", Lit.integer(5)),
+            Comparison(Col(B), ">", Lit.integer(0)),
+        ]
+    )
+    ctx = ctx_for(pred)
+    candidates = [
+        Hyperplane(((ctx.var(A), 1),), 0),  # a > 0: implied
+        Hyperplane(((ctx.var(A), 1),), -10),  # a > 10: not implied
+        Hyperplane(((ctx.var(A), 1), (ctx.var(B), 1)), -5),  # a + b > 5
+    ]
+    before = GLOBAL_COUNTERS.snapshot()
+    verifier = PredicateVerifier(pred, ctx)
+    verdicts = [
+        verifier.verify(DisjunctivePredicate((plane,))) for plane in candidates
+    ]
+    verifier.close()
+    delta = GLOBAL_COUNTERS.delta_since(before)
+    assert verdicts == [True, False, True]
+    assert delta.get("solvers_constructed") == 1
+    assert delta.get("session_checks") == 3
+
+
 @pytest.mark.parametrize(
     "query, columns",
     [

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (
     EQ,
+    LE,
     REAL,
     SAT,
     UNSAT,
@@ -14,7 +16,9 @@ from repro.smt import (
     BVar,
     LinExpr,
     Not,
+    SmtSession,
     Solver,
+    SolverError,
     Var,
     all_models,
     compare,
@@ -217,3 +221,31 @@ def test_equality_atoms():
     assert model is not None
     assert model.value(X) == 7
     assert model.value(Y) == 3
+
+
+def test_model_requires_a_sat_verdict():
+    """``model()`` raises instead of returning a stale or empty model:
+    before any check, and after a check that answered UNSAT."""
+    at_most_5 = Atom(LinExpr.var(X) - 5, LE)
+    at_least_6 = Atom(LinExpr.const_expr(6) - LinExpr.var(X), LE)
+    solver = Solver()
+    with pytest.raises(SolverError):
+        solver.model()
+    solver.add(at_most_5)
+    assert solver.check() == SAT
+    assert solver.model().value(X) <= 5
+    solver.add(at_least_6)
+    assert solver.check() == UNSAT
+    with pytest.raises(SolverError):
+        solver.model()
+    # The one-shot helper checks the verdict before it reads the model.
+    assert get_model(conj([at_most_5, at_least_6])) is None
+
+    session = SmtSession()
+    with pytest.raises(SolverError):
+        session.model()
+    session.assert_base(at_most_5)
+    assert session.check([at_least_6]) == UNSAT
+    with pytest.raises(SolverError):
+        session.model()
+

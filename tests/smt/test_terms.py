@@ -150,3 +150,17 @@ def test_hash_consistency():
     e2 = LinExpr({Y: 3, X: 2}, 1)
     assert e1 == e2
     assert hash(e1) == hash(e2)
+
+
+def test_linexpr_does_not_alias_the_callers_map():
+    """An expression owns its coefficient map: neither the caller's
+    dict nor another interned expression shares it, so no later write
+    to one can change the other."""
+    coeffs = {X: Fraction(2), Y: Fraction(3)}
+    expr = LinExpr(coeffs, 1)
+    coeffs[X] = Fraction(7)
+    assert expr.coeff(X) == 2
+    assert expr.coeffs is not coeffs
+    shifted = expr + 1
+    assert shifted.coeffs is not expr.coeffs
+    assert shifted.coeffs == expr.coeffs
