@@ -4,20 +4,14 @@ Not a paper artefact -- these track the performance of the solver
 components that every experiment sits on (sample generation is >70% of
 Sia's total time in Table 3, and it is pure solver work).
 
-Two entry points share the workload bodies below:
-
-* ``pytest benchmarks/bench_smt_micro.py`` runs them under
-  pytest-benchmark for interactive comparison;
-* ``python benchmarks/bench_smt_micro.py`` times them standalone and
-  writes ``BENCH_smt_micro.json`` at the repo root (median/p95 per
-  benchmark plus the :data:`repro.smt.stats.GLOBAL_COUNTERS` delta),
-  including the process-pool workload driver's wall-clock.
+``pytest benchmarks/bench_smt_micro.py`` runs the ``run_*`` bodies
+below under pytest-benchmark for interactive comparison.  Nothing is
+recorded: the committed perf record is ``BENCH_e2e.json``, measured by
+``benchmarks/e2e/run.py``.
 """
 
-import argparse
 import random
 
-from repro.obs.clock import now
 from repro.smt import (
     NE,
     SAT,
@@ -33,7 +27,6 @@ from repro.smt import (
 )
 from repro.smt.qe import unsat_region
 from repro.smt.sat import SatSolver
-from repro.smt.stats import GLOBAL_COUNTERS
 
 X = Var("x")
 Y = Var("y")
@@ -195,131 +188,3 @@ def run_unsat_with_proof_logging():
 def test_unsat_with_proof_logging(benchmark):
     """Overhead of proof logging on an UNSAT disjunctive formula."""
     benchmark(run_unsat_with_proof_logging)
-
-
-# ----------------------------------------------------------------------
-# Standalone driver: BENCH_smt_micro.json
-# ----------------------------------------------------------------------
-MICRO_RUNNERS = {
-    "sat_random_3sat": run_sat_random_3sat,
-    "smt_conjunction_check": run_smt_conjunction_check,
-    "model_enumeration_50": run_model_enumeration_50,
-    "quantifier_elimination": run_quantifier_elimination,
-    "disjunctive_formula_check": run_disjunctive_formula_check,
-    "session_scoped_probes": run_session_scoped_probes,
-    "fresh_solver_probes": run_fresh_solver_probes,
-    "unsat_with_proof_logging": run_unsat_with_proof_logging,
-}
-
-
-def _timed_entry(fn, runs: int, name: str = "") -> dict:
-    from repro.bench.perflog import summarize_times
-    from repro.obs.trace import get_tracer
-
-    tracer = get_tracer()
-    before = GLOBAL_COUNTERS.snapshot()
-    times_ms = []
-    for _ in range(runs):
-        start = now()
-        with tracer.span(f"micro.{name}" if name else "micro.run",
-                         phase=name or "micro", counters=True):
-            fn()
-        times_ms.append((now() - start) * 1000.0)
-    entry = summarize_times(times_ms)
-    entry["counters"] = GLOBAL_COUNTERS.delta_since(before)
-    return entry
-
-
-def parallel_driver_bench(num_queries: int, seed: int, runs: int) -> dict[str, dict]:
-    """Wall-clock of the process-pool workload driver vs. one process.
-
-    Uses the solver-free TC technique so the entry times the driver
-    itself (fan-out, per-worker counter capture, ordered merge) rather
-    than CEGIS; the merged record stream is identical either way, which
-    tests/bench/test_parallel.py asserts.
-    """
-    from repro.bench.parallel import default_workers, parallel_efficacy_records
-    from repro.bench.perflog import summarize_times
-
-    out: dict[str, dict] = {}
-    workers = max(2, default_workers())
-    for label, n in (("sequential", 1), ("workers", workers)):
-        before = GLOBAL_COUNTERS.snapshot()
-        times_ms = []
-        records = 0
-        for _ in range(runs):
-            start = now()
-            result = parallel_efficacy_records(
-                num_queries=num_queries,
-                seed=seed,
-                techniques=("TC",),
-                workers=n,
-            )
-            times_ms.append((now() - start) * 1000.0)
-            records = len(result.records)
-        entry = summarize_times(times_ms)
-        entry["counters"] = GLOBAL_COUNTERS.delta_since(before)
-        entry["workers"] = n
-        entry["records"] = records
-        entry["pool"] = result.pool
-        out[f"parallel/tc_{label}"] = entry
-    return out
-
-
-def main(argv=None) -> int:
-    from repro.bench.perflog import DEFAULT_PATH, update_bench_json
-
-    parser = argparse.ArgumentParser(
-        description="SMT micro-benchmarks -> BENCH_smt_micro.json"
-    )
-    parser.add_argument(
-        "--runs", type=int, default=5, help="timed runs per benchmark"
-    )
-    parser.add_argument(
-        "--queries", type=int, default=4,
-        help="workload queries for the process-pool driver entries",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--output", default=str(DEFAULT_PATH))
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write a JSONL span trace (with per-check smt spans) of "
-        "the whole run; replay with 'repro trace PATH'",
-    )
-    args = parser.parse_args(argv)
-
-    from contextlib import nullcontext
-
-    from repro.bench.perflog import stamp_trace_id
-    from repro.obs import install_file_tracer
-
-    tracing = (
-        install_file_tracer(args.trace, smt_spans=True)
-        if args.trace
-        else nullcontext(None)
-    )
-    entries: dict[str, dict] = {}
-    with tracing as tracer:
-        for name, fn in MICRO_RUNNERS.items():
-            entries[f"micro/{name}"] = _timed_entry(fn, args.runs, name)
-            print(
-                f"micro/{name}: median {entries[f'micro/{name}']['median_ms']} ms"
-            )
-        entries.update(
-            parallel_driver_bench(args.queries, args.seed, args.runs)
-        )
-        for name in ("parallel/tc_sequential", "parallel/tc_workers"):
-            print(
-                f"{name}: median {entries[name]['median_ms']} ms "
-                f"({entries[name]['workers']} workers)"
-            )
-        stamp_trace_id(entries, tracer.trace_id if tracer is not None else None)
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    path = update_bench_json(entries, args.output)
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,7 +10,7 @@ Run:  python examples/multi_join.py
 """
 
 from repro.engine import build_plan, execute
-from repro.rewrite import advise, rewrite_query
+from repro.rewrite import rewrite_query
 from repro.sql import parse_query, render_pred
 from repro.tpch import generate_catalog
 
@@ -34,11 +34,8 @@ def main() -> None:
         if not result.succeeded:
             print(f"{table}: nothing synthesized ({result.outcome.status})")
             continue
-        advice = advise(result, catalog)
         print(f"{table}: {render_pred(result.synthesized_predicate)}")
-        print(f"  advisor: keep={advice.keep} ({advice.reason})")
-        if advice.keep:
-            rewritten = result.rewritten
+        rewritten = result.rewritten
 
     plan_orig = build_plan(query)
     plan_rew = build_plan(rewritten)

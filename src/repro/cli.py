@@ -6,8 +6,7 @@ Usage::
         --table lineitem [--iterations 41] [--strategy per_column] [--explain]
     python -m repro demo
     python -m repro bench --parallel 4 [--queries 8] [--seed 42] \
-        [--deadline-ms 5000] [--out results/fullscale.jsonl]
-    python -m repro bench --compare old_BENCH.json
+        [--deadline-ms 5000] [--out results/fullscale.jsonl] [--trace T]
     python -m repro report results/fullscale.jsonl [--json]
 
 The TPC-H schema is built in; any query over its tables parses
@@ -89,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="run the efficacy workload resumably into a per-cell "
-        "checkpoint and record solver perf (writes BENCH_smt_micro.json)",
+        "checkpoint and print its totals, solver counters and pool "
+        "statistics",
     )
     bench.add_argument(
         "--parallel",
@@ -129,13 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workload seed (default: REPRO_BENCH_SEED or 42)",
     )
     bench.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="perf-JSON path (default: BENCH_smt_micro.json; '-' skips)",
-    )
-    bench.add_argument(
         "--trace",
         dest="trace_path",
         default=None,
@@ -143,43 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a JSONL span trace of the run (replay with "
         "'repro trace PATH'); traced spans cover the in-process "
         "portion of the run only",
-    )
-    bench.add_argument(
-        "--compare",
-        dest="compare_path",
-        default=None,
-        metavar="OLD.json",
-        help="compare-only mode: diff OLD.json against the current "
-        "perf JSON (--json or BENCH_smt_micro.json) and exit nonzero "
-        "on regression; no workload runs",
-    )
-    bench.add_argument(
-        "--median-ratio",
-        type=float,
-        default=None,
-        metavar="R",
-        help="--compare: fail when new median > old * R (default 1.5)",
-    )
-    bench.add_argument(
-        "--p95-ratio",
-        type=float,
-        default=None,
-        metavar="R",
-        help="--compare: fail when new p95 > old * R (default 2.0)",
-    )
-    bench.add_argument(
-        "--min-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="--compare: absolute drift floor a regression must also "
-        "clear (default 5.0)",
-    )
-    bench.add_argument(
-        "--allow-missing",
-        action="store_true",
-        help="--compare: entries absent from the new document are not "
-        "regressions",
     )
 
     report = sub.add_parser(
@@ -293,48 +249,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    """``repro bench --compare OLD.json``: the perf-regression gate."""
-    from .bench.compare import (
-        DEFAULT_MEDIAN_RATIO,
-        DEFAULT_MIN_MS,
-        DEFAULT_P95_RATIO,
-        compare_bench,
-        load_bench,
-        render_compare,
-    )
-    from .bench.perflog import DEFAULT_PATH
-
-    new_path = (
-        args.json_path
-        if args.json_path not in (None, "-")
-        else DEFAULT_PATH
-    )
-    try:
-        old = load_bench(args.compare_path)
-        new = load_bench(new_path)
-    except (OSError, ValueError) as exc:
-        print(f"bench --compare: error: {exc}", file=sys.stderr)
-        return 2
-    result = compare_bench(
-        old,
-        new,
-        median_ratio=(
-            args.median_ratio
-            if args.median_ratio is not None
-            else DEFAULT_MEDIAN_RATIO
-        ),
-        p95_ratio=(
-            args.p95_ratio if args.p95_ratio is not None else DEFAULT_P95_RATIO
-        ),
-        min_ms=args.min_ms if args.min_ms is not None else DEFAULT_MIN_MS,
-        allow_missing=args.allow_missing,
-    )
-    print(f"comparing {args.compare_path} (old) -> {new_path} (new)")
-    print(render_compare(result))
-    return 0 if result.ok else 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     """``repro bench``: the efficacy workload through the resumable
     checkpoint (:func:`repro.bench.fullscale.run`).
@@ -342,9 +256,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     Every finished (query, subset, technique) cell appends one JSON
     line to ``--out``, so an interrupted run resumes where it stopped;
     ``--parallel N`` runs pending queries on a longest-first process
-    pool.  The perf entry ``workload/efficacy`` summarizes every cell in
-    the checkpoint and carries this run's solver counters and pool
-    statistics.
+    pool.  The summary lines cover every cell in the checkpoint, plus
+    this run's solver counters and pool statistics.
     """
     from contextlib import nullcontext
     from pathlib import Path
@@ -353,16 +266,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.fullscale import run as fullscale_run
     from .bench.harness import bench_queries, bench_seed
     from .bench.parallel import default_workers
-    from .bench.perflog import (
-        DEFAULT_PATH,
-        stamp_trace_id,
-        summarize_times,
-        update_bench_json,
-    )
     from .obs import get_tracer, install_file_tracer, now
 
-    if args.compare_path is not None:
-        return _cmd_bench_compare(args)
     workers = default_workers() if args.parallel == 0 else args.parallel
     num_queries = args.queries if args.queries is not None else bench_queries()
     seed = args.seed if args.seed is not None else bench_seed()
@@ -411,41 +316,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{counters.get('sessions_created', 0)} sessions), "
         f"{counters.get('clauses_learned', 0)} clauses learned"
     )
-    pool = {key: value for key, value in stats.items() if key != "counters"}
     print(
-        f"pool: {pool['workers']} worker(s) at "
-        f"{pool['utilization']:.0%} utilization, restarts={pool['restarts']}"
+        f"pool: {stats['workers']} worker(s) at "
+        f"{stats['utilization']:.0%} utilization, restarts={stats['restarts']}"
     )
     if args.trace_path:
         print(f"trace {trace_id} written to {args.trace_path}")
-    if args.json_path != "-" and records:
-        # Partial (deadline-expired) cells have truncated timings; keep
-        # them out of the perf trajectory.
-        entry = summarize_times(
-            [
-                r.generation_ms + r.learning_ms + r.validation_ms
-                for r in records
-                if not r.partial
-            ]
-            or [0.0]
-        )
-        entry.update(
-            {
-                "counters": counters,
-                "workers": workers,
-                "records": len(records),
-                "new_cells": new_cells,
-                "valid": valid,
-                "optimal": optimal,
-                "partial": partial,
-                "wall_clock_ms": round(wall_clock_ms, 1),
-                "pool": pool,
-            }
-        )
-        entries = {"workload/efficacy": entry}
-        stamp_trace_id(entries, trace_id)
-        path = update_bench_json(entries, args.json_path or DEFAULT_PATH)
-        print(f"wrote {path}")
     return 0
 
 

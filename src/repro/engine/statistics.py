@@ -2,12 +2,10 @@
 
 A light version of what a real optimizer keeps: per-column equi-width
 histograms plus null fractions, and a selectivity estimator over the
-predicate IR.  Used to (a) pick the cheaper build side before
-execution, and (b) let callers predict whether a synthesized predicate
-is worth pushing down without touching the full table (the
-:mod:`repro.rewrite.advisor` samples data directly; this module
-estimates from pre-built sketches, which is what a production
-integration would do).
+predicate IR.  The optimizer uses it to order joins by estimated
+cardinality before execution, and the benchmark scheduler
+(:mod:`repro.bench.schedule`) to rank workload queries by expected
+synthesis cost from a synthetic sketch, without touching a table.
 
 Estimation rules are the textbook ones: histograms answer range
 predicates; equality gets 1/ndv; AND multiplies, OR adds with the

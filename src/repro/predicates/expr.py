@@ -246,6 +246,9 @@ class _PConst(Pred):
     def __setattr__(self, *a: object) -> None:
         raise AttributeError("predicates are immutable")
 
+    def __delattr__(self, *a: object) -> None:
+        raise AttributeError("predicates are immutable")
+
     def __reduce__(self) -> str:
         # Copies and unpickled constants are the module's singletons.
         return "TRUE_PRED" if self.value else "FALSE_PRED"
@@ -287,6 +290,9 @@ class _PNAry(Pred):
         object.__setattr__(self, "args", tuple(args))
 
     def __setattr__(self, *a: object) -> None:
+        raise AttributeError("predicates are immutable")
+
+    def __delattr__(self, *a: object) -> None:
         raise AttributeError("predicates are immutable")
 
     def __reduce__(self):

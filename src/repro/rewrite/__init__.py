@@ -1,6 +1,5 @@
 """Query rewriting with learned predicates."""
 
-from .advisor import RewriteAdvice, advise, advise_from_stats
 from .cache import CacheStats, RewriteCache
 from .rewriter import COMBINED, FULL_SET, PER_COLUMN, RewriteResult, rewrite_query, rewrite_sql
 from .rules import (
@@ -15,11 +14,8 @@ __all__ = [
     "FULL_SET",
     "PER_COLUMN",
     "CacheStats",
-    "RewriteAdvice",
     "RewriteCache",
     "RewriteResult",
-    "advise",
-    "advise_from_stats",
     "is_syntax_based_prospective",
     "pushdown_blocked_tables",
     "rewrite_query",

@@ -83,6 +83,9 @@ class _Const(Formula):
     def __setattr__(self, *a: object) -> None:
         raise AttributeError("constant formulas are immutable")
 
+    def __delattr__(self, *a: object) -> None:
+        raise AttributeError("constant formulas are immutable")
+
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
 
@@ -135,6 +138,9 @@ class Atom(Formula):
         return (Atom, (self.expr, self.op))
 
     def __setattr__(self, *a: object) -> None:
+        raise AttributeError("formulas are immutable")
+
+    def __delattr__(self, *a: object) -> None:
         raise AttributeError("formulas are immutable")
 
     def __eq__(self, other: object) -> bool:
@@ -263,6 +269,9 @@ class _NAry(Formula):
         return (type(self), (self.args,))
 
     def __setattr__(self, *a: object) -> None:
+        raise AttributeError("formulas are immutable")
+
+    def __delattr__(self, *a: object) -> None:
         raise AttributeError("formulas are immutable")
 
     def __eq__(self, other: object) -> bool:

@@ -2,9 +2,8 @@
 
 The substrate keeps cheap monotone counters of solver construction,
 checking and session work (docs/INTERNALS.md, "Incremental sessions")
-that the micro-benchmarks (``benchmarks/bench_smt_micro.py``), the
-end-to-end benchmark and the parallel workload driver snapshot around
-their workloads:
+that the end-to-end benchmark and the parallel workload driver
+snapshot around their workloads:
 
 * ``solvers_constructed`` -- ``Solver`` instances built (each one
   re-encodes CNF and grows a cold CDCL core from nothing),

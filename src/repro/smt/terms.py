@@ -208,6 +208,9 @@ class LinExpr:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LinExpr is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LinExpr is immutable")
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

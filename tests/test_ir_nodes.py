@@ -1,5 +1,5 @@
 """The IR nodes are compact values: no instance ``__dict__``, and
-attribute assignment raises.
+attribute assignment and deletion raise.
 
 Formula and predicate nodes are hash-consed or shared between trees, so
 an in-place update to one would silently change every formula that
@@ -99,6 +99,8 @@ def test_node_rejects_attribute_assignment(node):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
     # A new name is refused too; the frozen ``__setattr__`` that
     # ``dataclass(slots=True)`` generates may raise TypeError for it,
     # because its ``super()`` call names the pre-slots class.
